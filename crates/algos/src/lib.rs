@@ -99,20 +99,42 @@ pub trait WearLeveler {
 
     /// Serve `n` consecutive demand writes to the same logical line.
     /// Bit-equivalent to calling [`write`](WearLeveler::write) `n` times,
-    /// stopping once the device dies; returns the number of writes served.
+    /// stopping after the write that kills the device or loses power.
+    /// Returns the writes the device applied — its `demand_writes` delta —
+    /// so a caller retries exactly the writes a power loss dropped.
     ///
-    /// Attack workloads dwell on one address for thousands of consecutive
-    /// writes, so schemes whose mapping only changes at periodic
-    /// wear-leveling events override this to run the writes between events
-    /// through [`NvmDevice::write_run`] in O(1). The default is the plain
-    /// scalar loop.
+    /// Batching is defined once, by the quiet-span contract of
+    /// [`quiet_writes`](WearLeveler::quiet_writes) and
+    /// [`note_quiet`](WearLeveler::note_quiet). The default serves one
+    /// scalar `write` (and whatever exchange, gap move or cache miss it
+    /// triggers), then applies the next `quiet_writes(la)` writes as one
+    /// closed-form [`NvmDevice::write_run`] followed by `note_quiet`, and
+    /// repeats. A scheme that certifies quiet spans therefore batches here
+    /// and in the timed driver by construction, without overriding this.
+    ///
+    /// Security Refresh and TLSR are the measured exception: their
+    /// overrides fold the trigger write into the window (one translation
+    /// and one device run per refresh period), which the scalar-first
+    /// default cannot; the BPA lifetime probe ran TLSR measurably slower
+    /// through the default (DESIGN.md §10).
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
-        let mut done = 0;
-        while done < n && !dev.is_dead() {
+        let start = dev.wear().demand_writes;
+        let mut left = n;
+        while left > 0 && !dev.is_dead() && !dev.power_lost() {
             self.write(la, dev);
-            done += 1;
+            left -= 1;
+            if left == 0 {
+                break; // a single-write run skips the quiet check
+            }
+            let k = self.quiet_writes(la).min(left);
+            if k > 0 {
+                // On a dead or unpowered device this applies nothing.
+                let (applied, _) = dev.write_run(self.translate(la), k);
+                self.note_quiet(la, applied);
+                left -= applied;
+            }
         }
-        done
+        dev.wear().demand_writes - start
     }
 
     /// Lower bound on how many *further* consecutive demand writes to `la`
@@ -121,15 +143,30 @@ pub trait WearLeveler {
     /// advance no [`op_counts`](WearLeveler::op_counts) counter — each one
     /// is exactly one demand write to the same physical line.
     ///
-    /// The timed driver batches exactly this many writes through one
-    /// memory-controller event stream fast path; anything the scheme might
-    /// do (exchange, gap move, refresh step, CMT miss, adaptation sample)
-    /// must lie strictly *beyond* the returned count. `0` — the default —
-    /// is always safe and simply keeps the driver scalar.
+    /// Anything the scheme might do (exchange, gap move, refresh step, CMT
+    /// miss, adaptation sample) must lie strictly *beyond* the returned
+    /// count. The default [`write_run`](WearLeveler::write_run) and the
+    /// timed driver both batch exactly this many writes. `0` — the
+    /// default — is always safe and keeps both scalar.
     ///
     /// Pure observation: must not change scheme state.
     fn quiet_writes(&self, _la: La) -> u64 {
         0
+    }
+
+    /// Advance the scheme's state as if `k` quiet demand writes to `la`
+    /// had been served, without touching the device: `k` scalar
+    /// [`write`](WearLeveler::write)s and one `NvmDevice::write_run(
+    /// translate(la), k)` followed by `note_quiet(la, k)` leave scheme and
+    /// device in identical states. `k` never exceeds `quiet_writes(la)`.
+    ///
+    /// Only [`write_run`](WearLeveler::write_run) calls this; drivers go
+    /// through `write_run`. The default accepts only `k == 0`, which is
+    /// consistent with the default `quiet_writes` of `0`, and panics
+    /// otherwise so that a wrapper forgetting to forward it fails loudly
+    /// instead of silently dropping counter updates.
+    fn note_quiet(&mut self, _la: La, k: u64) {
+        assert_eq!(k, 0, "{}: note_quiet without a quiet-span implementation", self.name());
     }
 
     /// Bring the scheme back to a consistent state after a power-loss
@@ -215,8 +252,13 @@ impl<W: WearLeveler + ?Sized> WearLeveler for Box<W> {
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
         (**self).write_run(la, n, dev)
     }
+
     fn quiet_writes(&self, la: La) -> u64 {
         (**self).quiet_writes(la)
+    }
+
+    fn note_quiet(&mut self, la: La, k: u64) {
+        (**self).note_quiet(la, k)
     }
 
     fn recover(&mut self, dev: &mut NvmDevice) -> Recovery {

@@ -279,40 +279,16 @@ impl WearLeveler for Mwsr {
         pa
     }
 
-    fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
-        // The mapping of `la` only changes in `step`, which fires every
-        // `period` writes to its region: serve one write scalar (with any
-        // step it triggers), then apply the rest of the pre-step gap in
-        // closed form on the device.
-        let lrn = self.geo.region_of(la) as usize;
-        let mut done = 0;
-        while done < n {
-            self.write(la, dev);
-            done += 1;
-            if dev.is_dead() || done >= n {
-                break;
-            }
-            let gap = (self.period - u64::from(self.ctr[lrn])).max(1) - 1;
-            let k = (n - done).min(gap);
-            if k == 0 {
-                continue;
-            }
-            let (applied, _) = dev.write_run(self.translate(la), k);
-            self.ctr[lrn] += applied as u32;
-            done += applied;
-            if applied < k {
-                break;
-            }
-        }
-        done
-    }
-
     fn quiet_writes(&self, la: La) -> u64 {
         // Only `step` (every `period` writes to the region) can move the
         // mapping or write lines; everything strictly before the trigger
         // write is quiet.
         let lrn = self.geo.region_of(la) as usize;
         (self.period - u64::from(self.ctr[lrn])).max(1) - 1
+    }
+
+    fn note_quiet(&mut self, la: La, k: u64) {
+        self.ctr[self.geo.region_of(la) as usize] += k as u32;
     }
 
     fn onchip_bits(&self) -> u64 {

@@ -71,15 +71,13 @@ impl WearLeveler for NoWl {
         la
     }
 
-    fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
-        // The mapping is static, so a whole run is one device call.
-        let (done, _) = dev.write_run(la, n);
-        done
-    }
-
     fn quiet_writes(&self, _la: La) -> u64 {
         // No wear leveling: every write is quiet, forever.
         u64::MAX
+    }
+
+    fn note_quiet(&mut self, _la: La, _k: u64) {
+        // Stateless: quiet writes advance nothing.
     }
 
     fn onchip_bits(&self) -> u64 {

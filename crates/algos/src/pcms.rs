@@ -189,34 +189,6 @@ impl WearLeveler for PcmS {
         pa
     }
 
-    fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
-        // Scalar-first, then batch: one `write` serves the next request
-        // (and any exchange it triggers), then every following write up to
-        // — but excluding — the next exchange trigger hits the same
-        // physical line and is applied in closed form.
-        let lrn = self.geo.region_of(la) as usize;
-        let mut done = 0;
-        while done < n {
-            self.write(la, dev);
-            done += 1;
-            if dev.is_dead() || done >= n {
-                break;
-            }
-            let gap = self.swaps.until_trigger(lrn, self.geo.region_lines()) - 1;
-            let k = (n - done).min(gap);
-            if k == 0 {
-                continue;
-            }
-            let (applied, _) = dev.write_run(self.translate(la), k);
-            self.swaps.add(lrn, applied);
-            done += applied;
-            if applied < k {
-                break; // device died inside the batch
-            }
-        }
-        done
-    }
-
     fn quiet_writes(&self, la: La) -> u64 {
         // The mapping only moves at the region's exchange trigger; every
         // write strictly before it repeats the same physical line with no
@@ -224,6 +196,10 @@ impl WearLeveler for PcmS {
         // trigger write itself is excluded.)
         let lrn = self.geo.region_of(la) as usize;
         self.swaps.until_trigger(lrn, self.geo.region_lines()) - 1
+    }
+
+    fn note_quiet(&mut self, la: La, k: u64) {
+        self.swaps.add(self.geo.region_of(la) as usize, k);
     }
 
     fn onchip_bits(&self) -> u64 {

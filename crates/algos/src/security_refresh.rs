@@ -222,10 +222,15 @@ impl WearLeveler for SecurityRefresh {
         (self.period - self.writes).saturating_sub(1)
     }
 
+    fn note_quiet(&mut self, _la: La, k: u64) {
+        self.writes += k;
+    }
+
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
         // The SR mapping only moves in `step`, every `period` writes: the
         // whole window up to (and including) the step trigger shares one
-        // translation, so it collapses into a single device run.
+        // translation, so it collapses into a single device run. (The
+        // default quiet-span loop would serve the trigger write scalar.)
         let mut done = 0;
         while done < n {
             let pa = self.sr.map(la);
@@ -425,6 +430,12 @@ impl WearLeveler for Tlsr {
         let inner_gap = self.inner_period - u64::from(self.inner_writes[region]);
         let outer_gap = self.outer_period - self.outer_writes;
         inner_gap.min(outer_gap).saturating_sub(1)
+    }
+
+    fn note_quiet(&mut self, la: La, k: u64) {
+        let region = self.geo.region_of(self.outer.map(la)) as usize;
+        self.inner_writes[region] += k as u32;
+        self.outer_writes += k;
     }
 
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {

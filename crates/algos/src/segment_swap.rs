@@ -187,6 +187,12 @@ impl WearLeveler for SegmentSwap {
         self.swap_period.saturating_sub(self.seg_since_swap[pseg] + 1)
     }
 
+    fn note_quiet(&mut self, la: La, k: u64) {
+        let pseg = (self.translate(la) >> self.geo.offset_bits()) as usize;
+        self.seg_writes[pseg] += k;
+        self.seg_since_swap[pseg] += k;
+    }
+
     fn onchip_bits(&self) -> u64 {
         // Mapping entry + inverse + two counters per segment.
         let segs = self.geo.regions();

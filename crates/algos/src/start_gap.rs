@@ -201,6 +201,10 @@ impl WearLeveler for StartGap {
         self.period.saturating_sub(self.state[region].writes + 1)
     }
 
+    fn note_quiet(&mut self, la: La, k: u64) {
+        self.state[(la / self.region_lines) as usize].writes += k;
+    }
+
     fn onchip_bits(&self) -> u64 {
         // START + GAP + write counter per region.
         let slot_bits = 64 - self.slots().leading_zeros() as u64;
@@ -337,6 +341,34 @@ mod tests {
         // The region's 16 slots plus the 32 spares bound the attainable
         // lifetime at (16+32)*Wmax / (128*Wmax) = 0.375 of ideal.
         assert!(d.normalized_lifetime() <= 0.375);
+    }
+
+    #[test]
+    fn write_run_batches_up_to_the_gap_move() {
+        let mut wl = StartGap::new(2, 64, 64);
+        let mut d = dev_for(&wl, 1_000_000);
+        assert_eq!(wl.write_run(63, 100, &mut d), 100);
+        assert_eq!(wl.gap_moves(), 1);
+        assert_eq!(d.wear().demand_writes, 100);
+        // Write 64 moved the gap: line 63 was copied into slot 64 (the one
+        // overhead write), where the last 36 writes landed.
+        assert_eq!(wl.translate(63), 64);
+        assert_eq!(d.write_count(63), 64);
+        assert_eq!(d.write_count(64), 1 + 36);
+    }
+
+    #[test]
+    fn write_run_stops_at_a_power_loss_and_moves_no_gap() {
+        let mut wl = StartGap::new(1, 64, 64);
+        let mut d = dev_for(&wl, 1_000_000);
+        let plan = sawl_nvm::FaultPlan { power_loss_at_writes: vec![10], ..Default::default() };
+        d.install_fault_plan(&plan).unwrap();
+        // Ten writes land; the eleventh finds the power gone, so the run
+        // reports ten and the pump retries the remaining ninety.
+        assert_eq!(wl.write_run(0, 100, &mut d), 10);
+        assert!(d.power_lost());
+        assert_eq!(d.wear().demand_writes, 10);
+        assert_eq!(wl.gap_moves(), 0);
     }
 
     #[test]

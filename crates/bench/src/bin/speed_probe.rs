@@ -1,6 +1,7 @@
-//! Simulator-throughput baseline: time the BPA lifetime probe for the
-//! four fastest-moving schemes and record the results as
-//! `BENCH_speed.json` in the working directory (repo root in CI).
+//! Simulator-throughput baseline: time the BPA lifetime probe for seven
+//! schemes — every family's representative plus SAWL and NWL — and record
+//! the results as `BENCH_speed.json` in the working directory (repo root
+//! in CI).
 //!
 //! Usage:
 //!
@@ -193,6 +194,9 @@ fn main() {
             ("tlsr", SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 32 }),
             ("mwsr", SchemeSpec::Mwsr { region_lines: 16, period: 32 }),
             ("sawl", SchemeSpec::sawl_default(1024)),
+            ("rbsg", SchemeSpec::Rbsg { regions: data_lines / 256, region_lines: 256, period: 64 }),
+            ("segment-swap", SchemeSpec::SegmentSwap { segment_lines: 64, swap_period: 100 }),
+            ("nwl", SchemeSpec::Nwl { granularity: 4, cmt_entries: 1024, swap_period: 128 }),
         ]
     };
     for (name, scheme) in probe_schemes {

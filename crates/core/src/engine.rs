@@ -572,56 +572,12 @@ impl WearLeveler for Sawl {
         pa
     }
 
-    fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
-        // Scalar-first, then batch the gap to the next event. One `write`
-        // serves the next request exactly (CMT miss/insert, lazy
-        // merge/split, exchange trigger, monitor sample); afterwards, as
-        // long as the touched region is settled at the target granularity
-        // and cached, every write up to — but excluding — the next
-        // exchange trigger or sample boundary repeats the same CMT front
-        // hit and the same physical line, so the whole gap collapses to
-        // counter arithmetic plus one `NvmDevice::write_run`.
-        let g = la >> self.mapping.p_log2();
-        let mut done = 0;
-        while done < n {
-            self.write(la, dev);
-            done += 1;
-            if dev.is_dead() || dev.power_lost() || done >= n {
-                break;
-            }
-            let e = self.mapping.entry(g);
-            if self.adapt.action_for(e.q_log2).is_some() {
-                // Still adapting one level per touch: stay scalar.
-                continue;
-            }
-            let base = self.mapping.base_of(g, e);
-            if self.mapping.cmt().peek(base).is_none() {
-                // A merge/split rebased the region; the next scalar write
-                // must take the CMT miss (GTD read + insert).
-                continue;
-            }
-            let gap = self.xchg.until_trigger(base, e.q()).min(self.adapt.until_sample()) - 1;
-            let k = (n - done).min(gap);
-            if k == 0 {
-                continue;
-            }
-            let (applied, _) = dev.write_run(e.translate(la), k);
-            self.xchg.note_writes(base, applied);
-            self.mapping.record_repeat_hits(base, applied);
-            self.adapt.note_requests(applied);
-            done += applied;
-            if applied < k {
-                break;
-            }
-        }
-        done
-    }
-
     fn quiet_writes(&self, la: La) -> u64 {
-        // Mirrors the batched `write_run` guards: quiet requires a settled
-        // (non-adapting) region whose front entry is cached, and ends
-        // strictly before the nearer of the exchange trigger and the
-        // monitor's sample boundary (a sample can decide a merge/split).
+        // Quiet requires a settled (non-adapting) region whose front entry
+        // is cached — otherwise the next write takes a lazy merge/split or
+        // a CMT miss (GTD read + insert) — and ends strictly before the
+        // nearer of the exchange trigger and the monitor's sample boundary
+        // (a sample can decide a merge/split).
         let g = la >> self.mapping.p_log2();
         let e = self.mapping.entry(g);
         if self.adapt.action_for(e.q_log2).is_some() {
@@ -632,6 +588,16 @@ impl WearLeveler for Sawl {
             return 0;
         }
         self.xchg.until_trigger(base, e.q()).min(self.adapt.until_sample()) - 1
+    }
+
+    fn note_quiet(&mut self, la: La, k: u64) {
+        // Each quiet write is one exchange-counter tick, one repeat hit on
+        // the region's front CMT entry and one monitor request.
+        let g = la >> self.mapping.p_log2();
+        let base = self.mapping.base_of(g, self.mapping.entry(g));
+        self.xchg.note_writes(base, k);
+        self.mapping.record_repeat_hits(base, k);
+        self.adapt.note_requests(k);
     }
 
     fn recover(&mut self, dev: &mut NvmDevice) -> Recovery {

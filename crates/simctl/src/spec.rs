@@ -396,6 +396,11 @@ impl WearLeveler for SchemeInstance {
     }
 
     #[inline]
+    fn note_quiet(&mut self, la: sawl_nvm::La, k: u64) {
+        dispatch!(self, w => w.note_quiet(la, k))
+    }
+
+    #[inline]
     fn read(&mut self, la: sawl_nvm::La, dev: &mut NvmDevice) -> sawl_nvm::Pa {
         dispatch!(self, w => w.read(la, dev))
     }

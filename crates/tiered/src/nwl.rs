@@ -386,6 +386,12 @@ impl WearLeveler for Nwl {
         self.swaps.until_trigger(lrn as usize, self.cfg.granularity) - 1
     }
 
+    fn note_quiet(&mut self, la: La, k: u64) {
+        let lrn = self.imt.lrn_of(la);
+        self.cmt.record_hits(lrn, k);
+        self.swaps.add(lrn as usize, k);
+    }
+
     /// Post-power-loss recovery: roll the interrupted exchange forward when
     /// any of its descriptors landed (replaying the data rewrites), roll it
     /// back otherwise, then rebuild the volatile inverse map and caches
