@@ -809,7 +809,7 @@ mod tests {
     fn wear_probe_enabled_mid_run_and_reset() {
         let mut dev = tiny(8, 100, 2);
         for i in 0..8 {
-            dev.write_run(i, u64::from(i) * 7 + 1);
+            dev.write_run(i, i * 7 + 1);
         }
         dev.enable_wear_probe();
         assert_probe_matches_full_stats(&dev);

@@ -43,6 +43,9 @@ use crate::tenant::{
     ProgressLine, Tenant, TenantState, PHASE_FINISHED, SPEC_SUFFIX,
 };
 
+/// An accepted client connection, served on its own thread.
+type Connection = Box<dyn FnOnce(&Daemon) + Send>;
+
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -467,7 +470,7 @@ impl Daemon {
                 self.request_shutdown();
                 break;
             }
-            let accepted: Option<Box<dyn FnOnce(&Daemon) + Send>> = match &endpoint {
+            let accepted: Option<Connection> = match &endpoint {
                 Endpoint::Tcp(l) => match l.accept() {
                     Ok((stream, _)) => {
                         let _ = stream.set_nonblocking(false);

@@ -15,6 +15,12 @@ use sawl_simctl::{LifetimeExperiment, LifetimeResult};
 use serde::{Deserialize, Serialize};
 
 /// A control command, one JSON line on the wire.
+///
+/// `Submit` carries its spec inline, so the enum is as large as a
+/// [`LifetimeExperiment`]. A request lives for one line's handling, and
+/// boxing the spec would break every client's `Submit { tenant, spec }`
+/// literal, so the size is accepted.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].

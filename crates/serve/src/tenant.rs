@@ -41,7 +41,7 @@ pub(crate) const PHASE_FAILED: u8 = 2;
 pub(crate) enum TenantState {
     /// In progress; `last_ckpt` is the demand-write mark of the latest
     /// checkpoint, driving the periodic-save interval.
-    Running { run: ResumableRun, last_ckpt: u64 },
+    Running { run: Box<ResumableRun>, last_ckpt: u64 },
     /// Ran to completion; the result is served from memory.
     Finished(Box<LifetimeResult>),
     /// Died with an error; the message is served from status queries.
@@ -71,7 +71,7 @@ impl Tenant {
             cap: AtomicU64::new(run.cap()),
             batches: AtomicU64::new(run.batches()),
             error: Mutex::new(None),
-            state: Mutex::new(TenantState::Running { run, last_ckpt: 0 }),
+            state: Mutex::new(TenantState::Running { run: Box::new(run), last_ckpt: 0 }),
         };
         // A resumed run starts its periodic-save clock from its cursor,
         // not from zero, so resume does not immediately re-checkpoint.

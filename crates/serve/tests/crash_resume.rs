@@ -5,7 +5,9 @@
 //!
 //! The tenants come from `specs/serve_smoke.json` (one plain, one
 //! fault-armed with stuck lines, transient faults, and scheduled power
-//! losses), the same fixture the CI `serve-smoke` job drives.
+//! losses), the same fixture the CI `serve-smoke` job drives. Both serve a
+//! per-request Zipf workload sized to run for over half a second in a
+//! release build, so the kill window is open long enough to hit.
 
 #![cfg(unix)]
 

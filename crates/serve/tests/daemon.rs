@@ -70,7 +70,6 @@ fn wait_finished(addr: SocketAddr, tenants: &[&str], deadline: Duration) {
 
 struct Fixture {
     addr: SocketAddr,
-    daemon: Arc<Daemon>,
     serve: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -79,13 +78,10 @@ impl Fixture {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let daemon = Daemon::new(cfg).unwrap();
-        let serve = {
-            let daemon = Arc::clone(&daemon);
-            std::thread::spawn(move || {
-                daemon.serve(vec![Endpoint::Tcp(listener)], || false).unwrap();
-            })
-        };
-        Fixture { addr, daemon, serve: Some(serve) }
+        let serve = std::thread::spawn(move || {
+            daemon.serve(vec![Endpoint::Tcp(listener)], || false).unwrap();
+        });
+        Fixture { addr, serve: Some(serve) }
     }
 
     fn shutdown(mut self) {
@@ -204,8 +200,11 @@ fn bad_submissions_are_rejected_with_typed_errors() {
 fn graceful_shutdown_checkpoints_and_restart_continues_byte_identically() {
     let dir = unique_dir("graceful");
     // Sized so the run takes a macroscopic fraction of a second even in
-    // release builds: the test must reach the shutdown point mid-run.
-    let mut exp = small_exp("serve/graceful", 4_000_000);
+    // release builds: the test must reach the shutdown point mid-run. A
+    // per-request workload keeps the batched serve loop from collapsing
+    // the run into a few bulk spans.
+    let mut exp = small_exp("serve/graceful", 10_000_000);
+    exp.workload = WorkloadSpec::Zipf { exponent: 0.9, write_ratio: 1.0 };
     exp.device.endurance = 20_000;
     let reference = run_lifetime(&exp).unwrap();
 

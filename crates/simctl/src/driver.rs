@@ -149,22 +149,7 @@ where
     W: WearLeveler + ?Sized,
     S: AddressStream + ?Sized,
 {
-    let mut buf = [MemReq::read(0); BLOCK];
-    let mut left = requests;
-    while left > 0 {
-        let n = left.min(BLOCK as u64) as usize;
-        feed_observation(stream, dev);
-        let filled = stream.fill(&mut buf[..n]);
-        for req in &buf[..filled] {
-            if req.write {
-                wl.write(req.la, dev);
-            } else {
-                wl.read(req.la, dev);
-            }
-        }
-        left -= filled as u64;
-        assert!(filled == n, "address streams are infinite; fill must not short a block");
-    }
+    pump_observed(wl, dev, stream, requests, |_, _, _, _| {});
 }
 
 /// [`pump`] with an optional telemetry recorder. Every request — read or
@@ -183,31 +168,16 @@ pub fn pump_telemetry<W, S>(
     W: WearLeveler + ?Sized,
     S: AddressStream + ?Sized,
 {
-    let Some(t) = telemetry else {
-        return pump(wl, dev, stream, requests);
-    };
-    let mut buf = [MemReq::read(0); BLOCK];
-    let mut left = requests;
-    while left > 0 {
-        let n = left.min(BLOCK as u64) as usize;
-        feed_observation(stream, dev);
-        let filled = stream.fill(&mut buf[..n]);
-        for req in &buf[..filled] {
-            if req.write {
-                wl.write(req.la, dev);
-            } else {
-                wl.read(req.la, dev);
-            }
-            t.note_served(1, wl, dev);
-        }
-        left -= filled as u64;
-        assert!(filled == n, "address streams are infinite; fill must not short a block");
+    match telemetry {
+        Some(t) => pump_observed(wl, dev, stream, requests, |_, _, w, d| t.note_served(1, w, d)),
+        None => pump(wl, dev, stream, requests),
     }
 }
 
-/// Like [`pump`], invoking `observe` after every request with the request,
-/// the physical address it resolved to, and the post-request engine and
-/// device state — the hook the timing models feed from.
+/// The request loop behind [`pump`] and [`pump_telemetry`], invoking
+/// `observe` after every request with the request, the physical address
+/// it resolved to, and the post-request engine and device state — the
+/// hook the timing models feed from.
 pub fn pump_observed<W, S, F>(
     wl: &mut W,
     dev: &mut NvmDevice,
@@ -261,6 +231,9 @@ pub fn pump_observed<W, S, F>(
 /// consecutive reads — a stream that never produces writes (write ratio 0,
 /// or a phase schedule degenerating to reads) would otherwise spin forever
 /// without advancing `demand_writes`.
+///
+/// All three lifetime pumps, and [`crate::ResumableRun`], run the same
+/// serve loop; they differ only in the observers they attach.
 pub fn pump_writes<W, S>(
     wl: &mut W,
     dev: &mut NvmDevice,
@@ -271,58 +244,7 @@ where
     W: WearLeveler + ?Sized,
     S: AddressStream + ?Sized,
 {
-    let mut scratch = [MemReq::read(0); BLOCK];
-    let mut runs: Vec<ReqRun> = Vec::new();
-    let mut consecutive_reads = 0u64;
-    let mut stats = PumpStats::default();
-    'blocks: while !dev.is_dead() && dev.wear().demand_writes < cap {
-        feed_observation(stream, dev);
-        stream.fill_runs(&mut runs, &mut scratch);
-        for run in &runs {
-            if !run.write {
-                consecutive_reads += run.len;
-                if consecutive_reads >= READ_SPIN_LIMIT {
-                    return Err(DriverError::WriteFreeStream { stream: stream.name().to_string() });
-                }
-                continue;
-            }
-            consecutive_reads = 0;
-            let mut served = 0u64;
-            while served < run.len {
-                let n = (run.len - served).min(cap - dev.wear().demand_writes);
-                let done = wl.write_run(run.la, n, dev);
-                if dev.is_dead() || dev.wear().demand_writes >= cap {
-                    break 'blocks;
-                }
-                if dev.power_lost() {
-                    // Replay is idempotent; keep recovering until a pass
-                    // runs to completion without another scheduled power
-                    // loss.
-                    loop {
-                        let r = wl.recover(dev);
-                        stats.journal_replays += u64::from(r.replayed);
-                        stats.journal_rollbacks += u64::from(r.rolled_back);
-                        if r.complete {
-                            break;
-                        }
-                    }
-                    stats.recoveries += 1;
-                    // Replayed data movement wears cells too and can finish
-                    // off a nearly-dead device.
-                    if dev.is_dead() {
-                        break 'blocks;
-                    }
-                    // Whatever the interrupted run did not serve is retried
-                    // by the next inner-loop iteration.
-                    served += done;
-                    continue;
-                }
-                debug_assert_eq!(done, n, "write_run must complete unless the device died");
-                served += done;
-            }
-        }
-    }
-    Ok(stats)
+    pump_lifetime(wl, dev, stream, cap, None, None)
 }
 
 /// [`pump_writes`] with an optional telemetry recorder.
@@ -335,8 +257,8 @@ where
 /// this). A sample on the killing or cap-reaching write is still taken;
 /// writes dropped by a power loss are not counted as served.
 ///
-/// `None` delegates to the plain [`pump_writes`] loop, so a disabled
-/// recorder costs the hot path nothing at all — not even a per-run branch.
+/// A disabled recorder costs one branch per `write_run` call, never one
+/// per write.
 pub fn pump_writes_telemetry<W, S>(
     wl: &mut W,
     dev: &mut NvmDevice,
@@ -348,63 +270,7 @@ where
     W: WearLeveler + ?Sized,
     S: AddressStream + ?Sized,
 {
-    let Some(t) = telemetry else {
-        return pump_writes(wl, dev, stream, cap);
-    };
-    let mut scratch = [MemReq::read(0); BLOCK];
-    let mut runs: Vec<ReqRun> = Vec::new();
-    let mut consecutive_reads = 0u64;
-    let mut stats = PumpStats::default();
-    'blocks: while !dev.is_dead() && dev.wear().demand_writes < cap {
-        feed_observation(stream, dev);
-        stream.fill_runs(&mut runs, &mut scratch);
-        for run in &runs {
-            if !run.write {
-                consecutive_reads += run.len;
-                if consecutive_reads >= READ_SPIN_LIMIT {
-                    return Err(DriverError::WriteFreeStream { stream: stream.name().to_string() });
-                }
-                continue;
-            }
-            consecutive_reads = 0;
-            let mut served = 0u64;
-            while served < run.len {
-                let n =
-                    (run.len - served).min(cap - dev.wear().demand_writes).min(t.until_sample());
-                let done = wl.write_run(run.la, n, dev);
-                t.note_served(done, wl, dev);
-                if dev.is_dead() || dev.wear().demand_writes >= cap {
-                    break 'blocks;
-                }
-                if dev.power_lost() {
-                    // Replay is idempotent; keep recovering until a pass
-                    // runs to completion without another scheduled power
-                    // loss.
-                    loop {
-                        let r = wl.recover(dev);
-                        stats.journal_replays += u64::from(r.replayed);
-                        stats.journal_rollbacks += u64::from(r.rolled_back);
-                        if r.complete {
-                            break;
-                        }
-                    }
-                    stats.recoveries += 1;
-                    // Replayed data movement wears cells too and can finish
-                    // off a nearly-dead device.
-                    if dev.is_dead() {
-                        break 'blocks;
-                    }
-                    // Whatever the interrupted run did not serve is retried
-                    // by the next inner-loop iteration.
-                    served += done;
-                    continue;
-                }
-                debug_assert_eq!(done, n, "write_run must complete unless the device died");
-                served += done;
-            }
-        }
-    }
-    Ok(stats)
+    pump_lifetime(wl, dev, stream, cap, telemetry, None)
 }
 
 /// [`pump_writes_telemetry`] with the closed-loop timing model attached.
@@ -423,8 +289,12 @@ where
 /// this for every scheme variant).
 ///
 /// Devices with an armed fault plan can drop writes (power loss) or add
-/// retries mid-span, so they take the scalar serve loop unconditionally,
-/// as does a spec with [`TimingSpec::scalar_serve`] set.
+/// retries mid-span, so every timed step on them is scalar, as it is
+/// under a spec with [`TimingSpec::scalar_serve`] set. A write dropped by
+/// a power loss is neither observed nor counted as served; a write that
+/// lands before a loss interrupts its own data movement is both, exactly
+/// as in the untimed pump. The recovery's own data movement is charged to
+/// the next observed request's overhead delta.
 ///
 /// The telemetry clock advances per served write exactly as in the batched
 /// pump: quiet spans are clamped at the recorder's
@@ -437,116 +307,142 @@ pub fn pump_writes_timed<W, S>(
     dev: &mut NvmDevice,
     stream: &mut S,
     cap: u64,
-    mut telemetry: Option<&mut TelemetryRun>,
+    telemetry: Option<&mut TelemetryRun>,
     timing: &mut TimingRun,
 ) -> Result<PumpStats, DriverError>
 where
     W: WearLeveler + ?Sized,
     S: AddressStream + ?Sized,
 {
-    if dev.fault_plan_armed() || timing.scalar_serve() {
-        return pump_writes_timed_scalar(wl, dev, stream, cap, telemetry, timing);
-    }
-    let mut scratch = [MemReq::read(0); BLOCK];
-    let mut runs: Vec<ReqRun> = Vec::new();
-    let mut consecutive_reads = 0u64;
-    let stats = PumpStats::default();
     timing.prime(wl, dev);
-    'blocks: while !dev.is_dead() && dev.wear().demand_writes < cap {
-        feed_observation(stream, dev);
-        stream.fill_runs(&mut runs, &mut scratch);
-        for run in &runs {
-            if !run.write {
-                consecutive_reads += run.len;
-                if consecutive_reads >= READ_SPIN_LIMIT {
-                    return Err(DriverError::WriteFreeStream { stream: stream.name().to_string() });
-                }
-                continue;
-            }
-            consecutive_reads = 0;
-            let mut served = 0u64;
-            while served < run.len {
-                let until =
-                    telemetry.as_deref().map_or(u64::MAX, |t: &TelemetryRun| t.until_sample());
-                let n = wl
-                    .quiet_writes(run.la)
-                    .min(run.len - served)
-                    .min(cap - dev.wear().demand_writes)
-                    .min(until);
-                let done = if n == 0 {
-                    // Not certified quiet (mapping move, CMT miss, trigger
-                    // or sample boundary ahead): serve scalar and let the
-                    // builder diff the deltas.
-                    let pa = wl.write(run.la, dev);
-                    timing.observe(true, pa, wl, dev);
-                    1
-                } else {
-                    // The whole span repeats one physical line; the killing
-                    // write (if the device dies mid-span) is still served
-                    // and observed, exactly as in the scalar loop.
-                    let pa = wl.translate(run.la);
-                    let done = wl.write_run(run.la, n, dev);
-                    debug_assert!(done > 0, "write_run served nothing on a live device");
-                    timing.observe_run(true, pa, done, wl, dev);
-                    done
-                };
-                if let Some(t) = telemetry.as_deref_mut() {
-                    t.note_served_timed(done, wl, dev, timing);
-                }
-                served += done;
-                if dev.is_dead() || dev.wear().demand_writes >= cap {
-                    break 'blocks;
-                }
-            }
-        }
-    }
-    Ok(stats)
+    pump_lifetime(wl, dev, stream, cap, telemetry, Some(timing))
 }
 
-/// The scalar serve loop of [`pump_writes_timed`]: one
-/// [`WearLeveler::write`] and one observed event per request, with full
-/// power-loss recovery. Fault-armed runs use it for correctness; fast
-/// runs use it as the measured baseline (`TimingSpec::scalar_serve`).
-///
-/// A write dropped by a power loss is neither observed by the timing model
-/// nor counted as served; the recovery's own data movement is charged to
-/// the next observed request's overhead delta.
-fn pump_writes_timed_scalar<W, S>(
+/// The one block loop behind the three lifetime pumps.
+fn pump_lifetime<W, S>(
     wl: &mut W,
     dev: &mut NvmDevice,
     stream: &mut S,
     cap: u64,
     mut telemetry: Option<&mut TelemetryRun>,
-    timing: &mut TimingRun,
+    mut timing: Option<&mut TimingRun>,
 ) -> Result<PumpStats, DriverError>
 where
     W: WearLeveler + ?Sized,
     S: AddressStream + ?Sized,
 {
-    let mut scratch = [MemReq::read(0); BLOCK];
-    let mut runs: Vec<ReqRun> = Vec::new();
-    let mut consecutive_reads = 0u64;
-    let mut stats = PumpStats::default();
-    timing.prime(wl, dev);
-    'blocks: while !dev.is_dead() && dev.wear().demand_writes < cap {
+    let mut serve = LifetimeServe::new(cap);
+    while !serve.finished(dev) {
+        serve.step(wl, dev, stream, telemetry.as_deref_mut(), timing.as_deref_mut())?;
+    }
+    Ok(serve.stats)
+}
+
+/// The state of one lifetime serve loop between stream batches: the cap,
+/// the read-spin guard, the recovery tallies and the reused batch buffers.
+/// The lifetime pumps keep one for the length of a call;
+/// [`crate::ResumableRun`] keeps one for the length of a run and
+/// checkpoints it between [`step`](Self::step)s.
+pub(crate) struct LifetimeServe {
+    pub(crate) cap: u64,
+    pub(crate) consecutive_reads: u64,
+    pub(crate) stats: PumpStats,
+    /// Reused run buffer.
+    runs: Vec<ReqRun>,
+    /// Reused request scratch; re-initializing 64 KiB per batch would
+    /// dwarf the cost of serving a bulk-run batch.
+    scratch: Box<[MemReq; BLOCK]>,
+}
+
+impl LifetimeServe {
+    pub(crate) fn new(cap: u64) -> Self {
+        Self {
+            cap,
+            consecutive_reads: 0,
+            stats: PumpStats::default(),
+            runs: Vec::new(),
+            scratch: Box::new([MemReq::read(0); BLOCK]),
+        }
+    }
+
+    /// The device died or the demand-write cap was hit.
+    pub(crate) fn finished(&self, dev: &NvmDevice) -> bool {
+        dev.is_dead() || dev.wear().demand_writes >= self.cap
+    }
+
+    /// Pull one stream batch ([`BLOCK`] requests) and serve its writes,
+    /// stopping at death or the cap. A timed run's `timing` must have been
+    /// primed on the run's state.
+    pub(crate) fn step<W, S>(
+        &mut self,
+        wl: &mut W,
+        dev: &mut NvmDevice,
+        stream: &mut S,
+        mut telemetry: Option<&mut TelemetryRun>,
+        mut timing: Option<&mut TimingRun>,
+    ) -> Result<(), DriverError>
+    where
+        W: WearLeveler + ?Sized,
+        S: AddressStream + ?Sized,
+    {
+        let Self { cap, consecutive_reads, stats, runs, scratch } = self;
         feed_observation(stream, dev);
-        stream.fill_runs(&mut runs, &mut scratch);
-        for run in &runs {
+        stream.fill_runs(runs, &mut scratch[..]);
+        // A fault-armed device can drop writes or add retries mid-span, so
+        // timing observes it one scalar write at a time.
+        let scalar = timing.as_deref().is_some_and(|t| t.scalar_serve() || dev.fault_plan_armed());
+        for run in runs.iter() {
             if !run.write {
-                consecutive_reads += run.len;
-                if consecutive_reads >= READ_SPIN_LIMIT {
+                *consecutive_reads += run.len;
+                if *consecutive_reads >= READ_SPIN_LIMIT {
                     return Err(DriverError::WriteFreeStream { stream: stream.name().to_string() });
                 }
                 continue;
             }
-            consecutive_reads = 0;
+            *consecutive_reads = 0;
             let mut served = 0u64;
             while served < run.len {
-                let before = dev.wear().demand_writes;
-                let pa = wl.write(run.la, dev);
+                let until = telemetry.as_deref().map_or(u64::MAX, TelemetryRun::until_sample);
+                let mut n = (run.len - served).min(*cap - dev.wear().demand_writes).min(until);
+                let done = match timing.as_deref_mut() {
+                    None => wl.write_run(run.la, n, dev),
+                    Some(t) => {
+                        n = if scalar { 0 } else { wl.quiet_writes(run.la).min(n) };
+                        if n == 0 {
+                            // Not certified quiet (mapping move, CMT miss,
+                            // trigger or sample boundary ahead): serve
+                            // scalar and let the builder diff the deltas. A
+                            // write a power loss dropped is not observed.
+                            n = 1;
+                            let before = dev.wear().demand_writes;
+                            let pa = wl.write(run.la, dev);
+                            let done = dev.wear().demand_writes - before;
+                            if done > 0 {
+                                t.observe(true, pa, wl, dev);
+                            }
+                            done
+                        } else {
+                            // The whole span repeats one physical line; the
+                            // killing write (if the device dies mid-span) is
+                            // still served and observed, exactly as in the
+                            // scalar loop.
+                            let pa = wl.translate(run.la);
+                            let done = wl.write_run(run.la, n, dev);
+                            t.observe_run(true, pa, done, wl, dev);
+                            done
+                        }
+                    }
+                };
+                if let Some(t) = telemetry.as_deref_mut() {
+                    t.note(done, wl, dev, timing.as_deref());
+                }
+                if dev.is_dead() || dev.wear().demand_writes >= *cap {
+                    return Ok(());
+                }
                 if dev.power_lost() {
                     // Replay is idempotent; keep recovering until a pass
-                    // runs to completion without another scheduled loss.
+                    // runs to completion without another scheduled power
+                    // loss.
                     loop {
                         let r = wl.recover(dev);
                         stats.journal_replays += u64::from(r.replayed);
@@ -556,27 +452,22 @@ where
                         }
                     }
                     stats.recoveries += 1;
+                    // Replayed data movement wears cells too and can finish
+                    // off a nearly-dead device.
                     if dev.is_dead() {
-                        break 'blocks;
+                        return Ok(());
                     }
-                    // A dropped write is retried; a landed one is observed
-                    // below on the retry path's next iteration only if it
-                    // actually advanced the demand counter.
-                    served += dev.wear().demand_writes - before;
+                    // Whatever the interrupted run did not serve is retried
+                    // by the next inner-loop iteration.
+                    served += done;
                     continue;
                 }
-                timing.observe(true, pa, wl, dev);
-                if let Some(t) = telemetry.as_deref_mut() {
-                    t.note_served_timed(1, wl, dev, timing);
-                }
-                served += 1;
-                if dev.is_dead() || dev.wear().demand_writes >= cap {
-                    break 'blocks;
-                }
+                debug_assert_eq!(done, n, "write_run must complete unless the device died");
+                served += done;
             }
         }
+        Ok(())
     }
-    Ok(stats)
 }
 
 #[cfg(test)]

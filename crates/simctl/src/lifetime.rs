@@ -13,16 +13,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use sawl_algos::WearLeveler;
 use sawl_nvm::FaultPlan;
 use sawl_telemetry::{Series, TelemetrySpec};
 use sawl_timing::TimingSpec;
 
-use crate::driver::{pump_writes_telemetry, pump_writes_timed, DriverError};
-use crate::seed::stable_seed;
+use crate::driver::DriverError;
+use crate::resume::ResumableRun;
 use crate::spec::{DeviceSpec, SchemeSpec, WorkloadSpec};
-use crate::telemetry::TelemetryRun;
-use crate::timing::{LatencyReport, TimingRun};
+use crate::timing::LatencyReport;
 
 /// A lifetime run specification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,10 +48,11 @@ pub struct LifetimeExperiment {
     #[serde(default)]
     pub telemetry: Option<TelemetrySpec>,
     /// Optional closed-loop timing model: serve every demand write through
-    /// the multi-channel controller and report the latency distribution.
-    /// `None` keeps the batched fast path; `Some` serves writes scalar
-    /// (identical request sequence and device state — only slower) and
-    /// fills [`LifetimeResult::latency`].
+    /// the multi-channel controller and report the latency distribution
+    /// in [`LifetimeResult::latency`]. `Some` serves quiet spans in closed
+    /// form and every other write scalar — every write scalar on a
+    /// fault-armed device — so a fault-free run keeps the request sequence
+    /// and device state of the untimed run.
     #[serde(default)]
     pub timing: Option<TimingSpec>,
 }
@@ -90,7 +89,8 @@ pub struct LifetimeResult {
     /// Power-loss events triggered during the run.
     #[serde(default)]
     pub power_losses: u64,
-    /// Power losses the driver recovered from via [`WearLeveler::recover`].
+    /// Power losses the driver recovered from via
+    /// [`WearLeveler::recover`](sawl_algos::WearLeveler::recover).
     #[serde(default)]
     pub recoveries: u64,
     /// Recoveries that replayed a journaled in-flight operation.
@@ -114,55 +114,13 @@ pub struct LifetimeResult {
 
 /// Run one lifetime experiment to completion.
 pub fn run_lifetime(exp: &LifetimeExperiment) -> Result<LifetimeResult, DriverError> {
-    let seed = stable_seed(&exp.id);
-    let phys = exp.scheme.physical_lines(exp.data_lines);
-    // Concrete enum instance: the pump below monomorphizes against it, so
-    // the per-write scheme call is static-dispatched.
-    let mut wl = exp.scheme.try_instantiate(exp.data_lines, seed)?;
-    let mut dev = exp.device.try_build(phys, seed)?;
-    if let Some(plan) = &exp.fault {
-        dev.install_fault_plan(plan)?;
-    }
-    let mut telemetry = match &exp.telemetry {
-        Some(spec) if spec.stride == 0 => {
-            return Err(DriverError::Spec("telemetry stride must be >= 1".into()));
-        }
-        Some(spec) => {
-            let run = TelemetryRun::new(&exp.id, spec);
-            run.attach(&mut wl, &mut dev);
-            Some(run)
-        }
-        None => None,
-    };
-    let mut stream = exp.workload.try_build(wl.logical_lines(), seed)?;
-    // The result reports the *stream's* name: for generators it equals the
-    // spec name, and for trace replay it is the name recorded in the trace
-    // header — which is what makes a replayed run's report byte-identical
-    // to the live generator run it was recorded from.
-    let workload_name = stream.name().to_string();
-
-    let cap = if exp.max_demand_writes == 0 {
-        4 * dev.config().ideal_lifetime_writes()
-    } else {
-        exp.max_demand_writes
-    };
-
-    // Reads are skipped by the lifetime pump: no wear, and lifetime is the
-    // only output here.
-    let mut timing = exp.timing.as_ref().map(|s| TimingRun::new(s, exp.scheme.translation_kind()));
-    let pump = match timing.as_mut() {
-        Some(t) => pump_writes_timed(&mut wl, &mut dev, &mut *stream, cap, telemetry.as_mut(), t)?,
-        None => pump_writes_telemetry(&mut wl, &mut dev, &mut *stream, cap, telemetry.as_mut())?,
-    };
-    let latency = timing.map(TimingRun::finish);
-    let series = telemetry.map(|t| t.finish(&mut wl));
-    Ok(build_result(exp, workload_name, &dev, &pump, series, latency))
+    let mut run = ResumableRun::build(exp)?;
+    run.run_to_end()?;
+    Ok(run.into_result())
 }
 
 /// Assemble a [`LifetimeResult`] from a finished run's final device state
-/// and pump bookkeeping — shared by [`run_lifetime`] and the resumable
-/// checkpoint/resume path ([`crate::resume::ResumableRun`]), so both
-/// report byte-identical results from identical state.
+/// and pump bookkeeping.
 pub(crate) fn build_result(
     exp: &LifetimeExperiment,
     workload: String,

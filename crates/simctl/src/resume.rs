@@ -16,34 +16,37 @@
 //!
 //! ## Equivalence contract
 //!
-//! [`ResumableRun`] serves runs with exactly the clamping, power-loss
-//! recovery and telemetry-boundary logic of
-//! [`pump_writes_telemetry`](crate::driver::pump_writes_telemetry), so a
-//! run driven to completion through [`step`](ResumableRun::step) — with or
-//! without an intervening save/kill/restore cycle — produces a
-//! [`LifetimeResult`] and telemetry series byte-identical to
-//! [`run_lifetime`](crate::lifetime::run_lifetime) on the same experiment
-//! (`resume_equivalence.rs` pins this for every scheme variant).
+//! [`ResumableRun`] is the lifetime run: [`run_lifetime`] builds one and
+//! drives it to the end, and every [`step`](ResumableRun::step) runs the
+//! same serve loop as the [`pump_writes`](crate::driver::pump_writes)
+//! family. So a run driven to completion through `step` — with or without
+//! an intervening save/kill/restore cycle — produces a [`LifetimeResult`]
+//! and telemetry series byte-identical to [`run_lifetime`] on the same
+//! experiment (`resume_equivalence.rs` pins this for every scheme
+//! variant).
 //!
 //! ## What cannot be checkpointed
 //!
 //! The closed-loop timing model accumulates an HDR histogram and
-//! controller queue state with no serialization; a spec carrying a
-//! `timing` block is rejected up front with a typed
+//! controller queue state with no serialization; [`ResumableRun::new`]
+//! rejects a spec carrying a `timing` block up front with a typed
 //! [`DriverError::Spec`] rather than silently dropping latency data.
+//!
+//! [`run_lifetime`]: crate::lifetime::run_lifetime
 
 use std::path::Path;
 
 use sawl_algos::WearLeveler;
 use sawl_ckpt::{CkptError, Reader, Writer};
 use sawl_nvm::NvmDevice;
-use sawl_trace::{AddressStream, CursorKind, MemReq, ReqRun};
+use sawl_trace::{AddressStream, CursorKind, MemReq};
 
-use crate::driver::{feed_observation, DriverError, PumpStats, BLOCK, READ_SPIN_LIMIT};
+use crate::driver::{DriverError, LifetimeServe, PumpStats, BLOCK};
 use crate::lifetime::{build_result, LifetimeExperiment, LifetimeResult};
 use crate::seed::stable_seed;
 use crate::spec::SchemeInstance;
 use crate::telemetry::TelemetryRun;
+use crate::timing::TimingRun;
 
 /// Default demand-write interval between periodic checkpoints (2^28 ≈
 /// 268M writes). Sized from the release pump's measured rates: the
@@ -56,12 +59,13 @@ pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 1 << 28;
 
 /// A lifetime run that can be paused, checkpointed, and resumed.
 ///
-/// Construction mirrors [`run_lifetime`](crate::lifetime::run_lifetime):
-/// the experiment's id seeds the scheme, device, fault plan and workload
-/// deterministically. Driving the run happens through [`step`] — one
+/// The experiment's id seeds the scheme, device, fault plan and workload
+/// deterministically, exactly as [`run_lifetime`] does — which builds and
+/// drives this same type. Driving the run happens through [`step`] — one
 /// stream batch per call — and a checkpoint taken between steps captures
 /// the complete mutable state.
 ///
+/// [`run_lifetime`]: crate::lifetime::run_lifetime
 /// [`step`]: Self::step
 pub struct ResumableRun {
     exp: LifetimeExperiment,
@@ -69,17 +73,12 @@ pub struct ResumableRun {
     dev: NvmDevice,
     stream: Box<dyn AddressStream + Send>,
     telemetry: Option<TelemetryRun>,
-    cap: u64,
+    /// Only [`run_lifetime`](crate::lifetime::run_lifetime) builds a timed
+    /// run; [`ResumableRun::new`] rejects timing specs.
+    timing: Option<TimingRun>,
+    serve: LifetimeServe,
     /// Completed `fill_runs` batches — the stream's resume cursor.
     batches: u64,
-    consecutive_reads: u64,
-    stats: PumpStats,
-    /// Reused run buffer (same role as the pump's local).
-    runs: Vec<ReqRun>,
-    /// Reused request scratch. The pump keeps this on the stack for the
-    /// whole run; re-initializing 64 KiB per batch would dwarf the cost
-    /// of serving a bulk-run batch.
-    scratch: Box<[MemReq; BLOCK]>,
 }
 
 impl ResumableRun {
@@ -95,8 +94,27 @@ impl ResumableRun {
                     .into(),
             ));
         }
+        let run = Self::build(exp)?;
+        if run.stream.wants_observation() && run.stream.cursor_kind() == CursorKind::Replay {
+            // A replay cursor fast-forwards by regenerating batches open
+            // loop, but an observation-driven stream's output depends on
+            // device feedback the fast-forward cannot reproduce.
+            return Err(DriverError::Spec(format!(
+                "stream \"{}\" is observation-driven but only supports replay cursors, \
+                 so a resumed run could not reproduce it",
+                run.stream.name()
+            )));
+        }
+        Ok(run)
+    }
+
+    /// Build a fresh run from `exp`, timed or not: the one place a
+    /// lifetime run is set up.
+    pub(crate) fn build(exp: &LifetimeExperiment) -> Result<Self, DriverError> {
         let seed = stable_seed(&exp.id);
         let phys = exp.scheme.physical_lines(exp.data_lines);
+        // Concrete enum instance: the serve loop monomorphizes against it,
+        // so the per-write scheme call is static-dispatched.
         let mut wl = exp.scheme.try_instantiate(exp.data_lines, seed)?;
         let mut dev = exp.device.try_build(phys, seed)?;
         if let Some(plan) = &exp.fault {
@@ -114,33 +132,25 @@ impl ResumableRun {
             None => None,
         };
         let stream = exp.workload.try_build(wl.logical_lines(), seed)?;
-        if stream.wants_observation() && stream.cursor_kind() == CursorKind::Replay {
-            // A replay cursor fast-forwards by regenerating batches open
-            // loop, but an observation-driven stream's output depends on
-            // device feedback the fast-forward cannot reproduce.
-            return Err(DriverError::Spec(format!(
-                "stream \"{}\" is observation-driven but only supports replay cursors, \
-                 so a resumed run could not reproduce it",
-                stream.name()
-            )));
-        }
         let cap = if exp.max_demand_writes == 0 {
             4 * dev.config().ideal_lifetime_writes()
         } else {
             exp.max_demand_writes
         };
+        let timing = exp.timing.as_ref().map(|spec| {
+            let mut t = TimingRun::new(spec, exp.scheme.translation_kind());
+            t.prime(&wl, &dev);
+            t
+        });
         Ok(Self {
             exp: exp.clone(),
             wl,
             dev,
             stream,
             telemetry,
-            cap,
+            timing,
+            serve: LifetimeServe::new(cap),
             batches: 0,
-            consecutive_reads: 0,
-            stats: PumpStats::default(),
-            runs: Vec::new(),
-            scratch: Box::new([MemReq::read(0); BLOCK]),
         })
     }
 
@@ -161,7 +171,7 @@ impl ResumableRun {
 
     /// The run is over: the device died or the demand-write cap was hit.
     pub fn finished(&self) -> bool {
-        self.dev.is_dead() || self.dev.wear().demand_writes >= self.cap
+        self.serve.finished(&self.dev)
     }
 
     /// Demand writes served so far.
@@ -171,7 +181,7 @@ impl ResumableRun {
 
     /// The run's demand-write cap.
     pub fn cap(&self) -> u64 {
-        self.cap
+        self.serve.cap
     }
 
     /// Completed stream batches (the checkpoint cursor).
@@ -192,13 +202,14 @@ impl ResumableRun {
         if self.finished() {
             return Ok(false);
         }
-        let mut runs = std::mem::take(&mut self.runs);
-        feed_observation(self.stream.as_mut(), &mut self.dev);
-        self.stream.fill_runs(&mut runs, &mut self.scratch[..]);
         self.batches += 1;
-        let served = self.serve_batch(&runs);
-        self.runs = runs;
-        served?;
+        self.serve.step(
+            &mut self.wl,
+            &mut self.dev,
+            self.stream.as_mut(),
+            self.telemetry.as_mut(),
+            self.timing.as_mut(),
+        )?;
         Ok(!self.finished())
     }
 
@@ -237,70 +248,13 @@ impl ResumableRun {
         Ok(true)
     }
 
-    /// Serve every run of one batch with the exact clamping, recovery and
-    /// telemetry logic of `pump_writes_telemetry` (and of `pump_writes`
-    /// when no recorder is attached — the recorder only observes, so the
-    /// unified loop is state-identical either way).
-    fn serve_batch(&mut self, runs: &[ReqRun]) -> Result<(), DriverError> {
-        for run in runs {
-            if !run.write {
-                self.consecutive_reads += run.len;
-                if self.consecutive_reads >= READ_SPIN_LIMIT {
-                    return Err(DriverError::WriteFreeStream {
-                        stream: self.stream.name().to_string(),
-                    });
-                }
-                continue;
-            }
-            self.consecutive_reads = 0;
-            let mut served = 0u64;
-            while served < run.len {
-                let until = self.telemetry.as_ref().map_or(u64::MAX, TelemetryRun::until_sample);
-                let n = (run.len - served).min(self.cap - self.dev.wear().demand_writes).min(until);
-                let done = self.wl.write_run(run.la, n, &mut self.dev);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.note_served(done, &self.wl, &self.dev);
-                }
-                if self.dev.is_dead() || self.dev.wear().demand_writes >= self.cap {
-                    return Ok(());
-                }
-                if self.dev.power_lost() {
-                    // Replay is idempotent; keep recovering until a pass
-                    // runs to completion without another scheduled power
-                    // loss.
-                    loop {
-                        let r = self.wl.recover(&mut self.dev);
-                        self.stats.journal_replays += u64::from(r.replayed);
-                        self.stats.journal_rollbacks += u64::from(r.rolled_back);
-                        if r.complete {
-                            break;
-                        }
-                    }
-                    self.stats.recoveries += 1;
-                    // Replayed data movement wears cells too and can
-                    // finish off a nearly-dead device.
-                    if self.dev.is_dead() {
-                        return Ok(());
-                    }
-                    // Whatever the interrupted run did not serve is
-                    // retried by the next inner-loop iteration.
-                    served += done;
-                    continue;
-                }
-                debug_assert_eq!(done, n, "write_run must complete unless the device died");
-                served += done;
-            }
-        }
-        Ok(())
-    }
-
     /// Serialize the run's complete mutable state. The payload opens with
     /// the experiment's canonical JSON so a resume against a different
     /// spec is rejected before any state is interpreted.
     pub fn ckpt_save(&self, w: &mut Writer) {
         let spec = serde_json::to_string(&self.exp).expect("experiment specs serialize infallibly");
         w.put_str(&spec);
-        w.put_u64(self.cap);
+        w.put_u64(self.serve.cap);
         w.put_u64(self.batches);
         // The stream cursor: state-cursor streams serialize their full
         // position (RNG, phase, replay offset, GC mode); replay-cursor
@@ -313,10 +267,10 @@ impl ResumableRun {
                 self.stream.cursor_save(w);
             }
         }
-        w.put_u64(self.consecutive_reads);
-        w.put_u64(self.stats.recoveries);
-        w.put_u64(self.stats.journal_replays);
-        w.put_u64(self.stats.journal_rollbacks);
+        w.put_u64(self.serve.consecutive_reads);
+        w.put_u64(self.serve.stats.recoveries);
+        w.put_u64(self.serve.stats.journal_replays);
+        w.put_u64(self.serve.stats.journal_rollbacks);
         match &self.telemetry {
             None => w.put_bool(false),
             Some(t) => {
@@ -345,10 +299,10 @@ impl ResumableRun {
             )));
         }
         let cap = r.get_u64()?;
-        if cap != self.cap {
+        if cap != self.serve.cap {
             return Err(CkptError::Corrupt(format!(
                 "demand-write cap {cap} does not match the rebuilt run's {}",
-                self.cap
+                self.serve.cap
             )));
         }
         self.batches = r.get_u64()?;
@@ -367,8 +321,8 @@ impl ResumableRun {
         if cursor_tag == 1 {
             self.stream.cursor_restore(r)?;
         }
-        self.consecutive_reads = r.get_u64()?;
-        self.stats = PumpStats {
+        self.serve.consecutive_reads = r.get_u64()?;
+        self.serve.stats = PumpStats {
             recoveries: r.get_u64()?,
             journal_replays: r.get_u64()?,
             journal_rollbacks: r.get_u64()?,
@@ -404,12 +358,17 @@ impl ResumableRun {
             .map_err(|e| DriverError::Checkpoint(format!("cannot write {}: {e}", path.display())))
     }
 
-    /// Finish the run: drain the telemetry recorder and assemble the
-    /// [`LifetimeResult`] exactly as `run_lifetime` does.
+    /// Finish the run: drain the telemetry recorder and the timing model
+    /// and assemble the [`LifetimeResult`].
     pub fn into_result(mut self) -> LifetimeResult {
+        let latency = self.timing.take().map(TimingRun::finish);
         let series = self.telemetry.take().map(|t| t.finish(&mut self.wl));
+        // The result reports the *stream's* name: for generators it equals
+        // the spec name, and for trace replay it is the name recorded in
+        // the trace header — which is what makes a replayed run's report
+        // byte-identical to the live generator run it was recorded from.
         let workload = self.stream.name().to_string();
-        build_result(&self.exp, workload, &self.dev, &self.stats, series, None)
+        build_result(&self.exp, workload, &self.dev, &self.serve.stats, series, latency)
     }
 }
 
@@ -418,7 +377,7 @@ impl std::fmt::Debug for ResumableRun {
         f.debug_struct("ResumableRun")
             .field("id", &self.exp.id)
             .field("demand_writes", &self.demand_writes())
-            .field("cap", &self.cap)
+            .field("cap", &self.serve.cap)
             .field("batches", &self.batches)
             .field("finished", &self.finished())
             .finish_non_exhaustive()

@@ -81,7 +81,7 @@ impl TelemetryRun {
 
     /// Advance the clock by `k` served requests and sample at a boundary.
     pub fn note_served<W: WearLeveler + ?Sized>(&mut self, k: u64, wl: &W, dev: &NvmDevice) {
-        self.note_inner(k, wl, dev, None);
+        self.note(k, wl, dev, None);
     }
 
     /// [`note_served`](Self::note_served) for timed runs: boundary samples
@@ -95,10 +95,12 @@ impl TelemetryRun {
         dev: &NvmDevice,
         timing: &TimingRun,
     ) {
-        self.note_inner(k, wl, dev, Some(timing));
+        self.note(k, wl, dev, Some(timing));
     }
 
-    fn note_inner<W: WearLeveler + ?Sized>(
+    /// [`note_served`](Self::note_served), or
+    /// [`note_served_timed`](Self::note_served_timed) when `timing` is set.
+    pub(crate) fn note<W: WearLeveler + ?Sized>(
         &mut self,
         k: u64,
         wl: &W,

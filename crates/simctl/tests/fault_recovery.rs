@@ -6,7 +6,8 @@
 use sawl_core::{Sawl, SawlConfig};
 use sawl_nvm::{FaultPlan, NvmConfig, NvmDevice};
 use sawl_simctl::{
-    run_lifetime, DeviceSpec, FaultCounters, LifetimeExperiment, SchemeSpec, WorkloadSpec,
+    run_lifetime, Channel, DeviceSpec, FaultCounters, LifetimeExperiment, SchemeSpec,
+    TelemetrySpec, TimingSpec, WorkloadSpec,
 };
 
 fn sawl_small() -> Sawl {
@@ -225,4 +226,62 @@ fn chained_power_losses_during_recovery_eventually_complete() {
     let f: FaultCounters = dev.fault_counters();
     assert_eq!(f.power_losses, 3);
     assert_eq!(f.power_restores, 3);
+}
+
+/// Every `SchemeSpec` variant, sized for a 2^9-line device (the list of
+/// `quiet_contract.rs`).
+fn all_schemes() -> Vec<SchemeSpec> {
+    vec![
+        SchemeSpec::Baseline,
+        SchemeSpec::Ideal,
+        SchemeSpec::SegmentSwap { segment_lines: 64, swap_period: 128 },
+        SchemeSpec::Rbsg { regions: 4, region_lines: 128, period: 64 },
+        SchemeSpec::SingleSr { period: 32 },
+        SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 32 },
+        SchemeSpec::PcmS { region_lines: 16, period: 32 },
+        SchemeSpec::Mwsr { region_lines: 16, period: 32 },
+        SchemeSpec::Nwl { granularity: 4, cmt_entries: 16, swap_period: 16 },
+        SchemeSpec::sawl_default(16),
+    ]
+}
+
+/// A timed run under dense power losses serves every demand write through
+/// the timing model and the telemetry clock exactly once, including a
+/// write that lands just before a loss interrupts its own data movement.
+#[test]
+fn fault_armed_timed_runs_observe_every_served_write() {
+    let workloads =
+        [WorkloadSpec::Bpa { writes_per_target: 100 }, WorkloadSpec::Uniform { write_ratio: 0.7 }];
+    for scheme in all_schemes() {
+        for workload in &workloads {
+            let exp = LifetimeExperiment {
+                id: format!("fault/timed/{}/{}", scheme.name(), workload.name()),
+                scheme: scheme.clone(),
+                workload: workload.clone(),
+                data_lines: 1 << 9,
+                device: DeviceSpec { endurance: 1_000_000, ..Default::default() },
+                max_demand_writes: 30_000,
+                fault: Some(FaultPlan {
+                    power_loss_at_writes: (1..300).map(|i| i * 113).collect(),
+                    ..FaultPlan::default()
+                }),
+                telemetry: Some(TelemetrySpec::with_stride(997)),
+                timing: Some(TimingSpec::default()),
+            };
+            let r = run_lifetime(&exp).unwrap();
+            assert!(r.power_losses > 0, "{}: the schedule must fire", exp.id);
+            let latency = r.latency.as_ref().unwrap();
+            assert_eq!(latency.requests, r.demand_writes, "{}: timing missed writes", exp.id);
+            let series = r.telemetry.as_ref().unwrap();
+            assert!(!series.samples.is_empty(), "{}", exp.id);
+            for s in &series.samples {
+                assert_eq!(
+                    s.counter(Channel::DemandWrites),
+                    Some(s.requests),
+                    "{}: telemetry clock drifted from the demand counter",
+                    exp.id
+                );
+            }
+        }
+    }
 }

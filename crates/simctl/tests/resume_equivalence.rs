@@ -12,7 +12,7 @@
 //!    [`DriverError::Checkpoint`] errors: never a panic, never a silent
 //!    partial load.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
@@ -224,7 +224,7 @@ fn valid_checkpoint(exp: &LifetimeExperiment, tag: &str) -> (PathBuf, Vec<u8>) {
     (path.clone(), std::fs::read(&path).unwrap())
 }
 
-fn resume_err(exp: &LifetimeExperiment, path: &PathBuf) -> String {
+fn resume_err(exp: &LifetimeExperiment, path: &Path) -> String {
     match ResumableRun::resume(exp, path) {
         Err(DriverError::Checkpoint(msg)) => msg,
         Err(other) => panic!("expected a Checkpoint error, got {other:?}"),

@@ -45,7 +45,7 @@ fn scalar_lifetime(exp: &LifetimeExperiment) -> LifetimeResult {
 
     let mut pulled: u64 = 0;
     while !dev.is_dead() && dev.wear().demand_writes < cap {
-        if pulled % BLOCK as u64 == 0 {
+        if pulled.is_multiple_of(BLOCK as u64) {
             feed_observation(stream.as_mut(), &mut dev);
         }
         pulled += 1;

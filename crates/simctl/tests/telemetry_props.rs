@@ -90,7 +90,7 @@ proptest! {
             wl.write(req.la, &mut dev);
             run.note_served(1, &wl, &dev);
             served += 1;
-            if served % stride == 0 {
+            if served.is_multiple_of(stride) {
                 expected.push(dev.wear_stats());
             }
         }

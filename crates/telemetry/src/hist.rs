@@ -330,7 +330,7 @@ mod tests {
         assert_eq!(low.count(), 1000);
         assert_eq!(low.percentile(0.5).unwrap().ns, 50);
         let p99 = low.percentile(0.99).unwrap().ns;
-        assert!(p99 >= 1 << 20 && p99 <= (1 << 20) + (1 << 15), "p99 {p99}");
+        assert!(((1 << 20)..=(1 << 20) + (1 << 15)).contains(&p99), "p99 {p99}");
         assert_eq!(low.percentile(0.9).unwrap().ns, 50);
         assert_eq!(low.max_ns(), 1 << 20);
     }
