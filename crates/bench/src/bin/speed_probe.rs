@@ -22,16 +22,20 @@
 //!   "smoke": false,
 //!   "data_lines": 65536,
 //!   "endurance": 10000,
+//!   "runs": 5,
 //!   "schemes": [
-//!     { "name": "pcms", "mw_per_sec": 0.0, "wall_seconds": 0.0,
+//!     { "name": "pcms", "mw_per_sec": 0.0, "mw_per_sec_min": 0.0,
+//!       "mw_per_sec_max": 0.0, "wall_seconds": 0.0,
 //!       "demand_writes": 0, "normalized_lifetime": 0.0 }
 //!   ]
 //! }
 //! ```
 //!
 //! `mw_per_sec` is demand writes per wall-clock second in millions — the
-//! headline simulator-throughput number. Runs are serial on purpose so
-//! each one is timed in isolation.
+//! headline simulator-throughput number. Every timed row (scheme rows and
+//! scaling points) repeats its run `runs` times: `mw_per_sec` and
+//! `wall_seconds` are the medians, `mw_per_sec_min`/`mw_per_sec_max` the
+//! range. Runs are serial on purpose so each one is timed in isolation.
 //!
 //! `--telemetry` measures the recorder's overhead: every scheme is timed
 //! a second time with a default-stride telemetry spec attached (wear
@@ -53,15 +57,44 @@ use serde::{Deserialize, Serialize};
 
 use sawl_algos::WearLeveler;
 use sawl_simctl::{
-    pump_writes, run_scenario, stable_seed, DeviceSpec, Scenario, SchemeSpec, TelemetrySpec,
-    WorkloadSpec,
+    pump_writes, run_scenario, stable_seed, DeviceSpec, LifetimeResult, Scenario, SchemeSpec,
+    TelemetrySpec, WorkloadSpec,
 };
+
+/// Timed repetitions behind every row; rows report their median and range.
+const RUNS: usize = 5;
+
+/// Wall times of [`RUNS`] repetitions of one deterministic run, sorted.
+struct Timings([f64; RUNS]);
+
+impl Timings {
+    /// Repeat `run` [`RUNS`] times; each call times its own measured part
+    /// and returns the seconds it took.
+    fn collect(mut run: impl FnMut() -> f64) -> Self {
+        let mut secs = [0.0; RUNS];
+        secs.fill_with(&mut run);
+        secs.sort_by(f64::total_cmp);
+        Self(secs)
+    }
+
+    fn median(&self) -> f64 {
+        self.0[RUNS / 2]
+    }
+
+    /// Median, min and max throughput in Mw/s for `writes` per run.
+    fn mwps(&self, writes: u64) -> (f64, f64, f64) {
+        let rate = |secs: f64| writes as f64 / secs / 1e6;
+        (rate(self.median()), rate(self.0[RUNS - 1]), rate(self.0[0]))
+    }
+}
 
 /// One scheme's timing row in `BENCH_speed.json`.
 #[derive(Debug, Serialize, Deserialize)]
 struct SchemeSpeed {
     name: String,
     mw_per_sec: f64,
+    mw_per_sec_min: f64,
+    mw_per_sec_max: f64,
     wall_seconds: f64,
     demand_writes: u64,
     normalized_lifetime: f64,
@@ -75,6 +108,8 @@ struct ScalePoint {
     demand_writes: u64,
     wall_seconds: f64,
     mw_per_sec: f64,
+    mw_per_sec_min: f64,
+    mw_per_sec_max: f64,
     /// Exact heap bytes of the device's wear state (countdowns + quantized
     /// limit table + failure overlay).
     wear_state_bytes: u64,
@@ -94,6 +129,7 @@ struct SpeedReport {
     smoke: bool,
     data_lines: u64,
     endurance: u32,
+    runs: usize,
     schemes: Vec<SchemeSpeed>,
     scaling: Vec<ScalePoint>,
 }
@@ -130,42 +166,75 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// One capped BPA run at `data_lines` lines: construct the device, pump
-/// `cap` demand writes, and report throughput plus the memory footprint.
+/// [`RUNS`] capped BPA runs at `data_lines` lines: construct the device,
+/// time pumping `cap` demand writes, and report throughput plus the
+/// memory footprint.
 fn scaling_point(data_lines: u64, cap: u64) -> ScalePoint {
     // Region size 1024 keeps the scheme's own tables negligible next to
     // the wear state at every series size.
     let scheme = SchemeSpec::PcmS { region_lines: 1024, period: 2048 };
     let seed = stable_seed(&format!("speed-probe/scaling/{data_lines}"));
-    let mut wl = scheme.instantiate(data_lines, seed);
-    let mut dev = DeviceSpec { endurance: 10_000, ..Default::default() }
-        .build(scheme.physical_lines(data_lines), seed);
-    let mut stream = WorkloadSpec::Bpa { writes_per_target: 2048 }.build(wl.logical_lines(), seed);
-    let t = Instant::now();
-    pump_writes(&mut wl, &mut dev, &mut stream, cap).expect("scaling point pump failed");
-    let dt = t.elapsed().as_secs_f64();
-    let demand = dev.wear().demand_writes;
-    let wear_bytes = dev.wear_state_bytes();
+    let mut last = None;
+    let timings = Timings::collect(|| {
+        let mut wl = scheme.instantiate(data_lines, seed);
+        let mut dev = DeviceSpec { endurance: 10_000, ..Default::default() }
+            .build(scheme.physical_lines(data_lines), seed);
+        let mut stream =
+            WorkloadSpec::Bpa { writes_per_target: 2048 }.build(wl.logical_lines(), seed);
+        let t = Instant::now();
+        pump_writes(&mut wl, &mut dev, &mut stream, cap).expect("scaling point pump failed");
+        let dt = t.elapsed().as_secs_f64();
+        // Keep only a summary: holding the device while the next run
+        // builds its own would double the peak RSS this point reports.
+        last = Some((
+            dev.wear().demand_writes,
+            dev.wear_state_bytes(),
+            dev.lines(),
+            dev.wear_state_layout(),
+        ));
+        dt
+    });
+    let (demand, wear_bytes, lines, wear_layout) = last.expect("at least one run");
+    let (mw_per_sec, mw_per_sec_min, mw_per_sec_max) = timings.mwps(demand);
     let point = ScalePoint {
         data_lines,
         scheme: "pcms-1024".into(),
         demand_writes: demand,
-        wall_seconds: dt,
-        mw_per_sec: demand as f64 / dt / 1e6,
+        wall_seconds: timings.median(),
+        mw_per_sec,
+        mw_per_sec_min,
+        mw_per_sec_max,
         wear_state_bytes: wear_bytes,
-        wear_bytes_per_line: wear_bytes as f64 / dev.lines() as f64,
-        wear_layout: dev.wear_state_layout(),
+        wear_bytes_per_line: wear_bytes as f64 / lines as f64,
+        wear_layout,
         peak_rss_bytes: peak_rss_bytes(),
     };
     println!(
-        "scaling 2^{:.0} lines: {:.1} Mw/s, wear {} ({:.2} B/line), peak RSS {:.1} MiB",
+        "scaling 2^{:.0} lines: {:.1} Mw/s ({:.1}..{:.1}), wear {} ({:.2} B/line), peak RSS {:.1} MiB",
         (data_lines as f64).log2(),
         point.mw_per_sec,
+        point.mw_per_sec_min,
+        point.mw_per_sec_max,
         point.wear_layout,
         point.wear_bytes_per_line,
         point.peak_rss_bytes as f64 / (1 << 20) as f64,
     );
     point
+}
+
+/// Run the lifetime `scenario` [`RUNS`] times; the result of a
+/// deterministic run is the same every time, so the last one stands for
+/// all.
+fn timed_scenario(scenario: &Scenario) -> (Timings, LifetimeResult) {
+    let mut last = None;
+    let timings = Timings::collect(|| {
+        let t = Instant::now();
+        let report = run_scenario(scenario).expect("speed probe scenario failed");
+        let dt = t.elapsed().as_secs_f64();
+        last = Some(report);
+        dt
+    });
+    (timings, last.expect("at least one run").lifetime().clone())
 }
 
 fn main() {
@@ -207,18 +276,19 @@ fn main() {
             data_lines,
             DeviceSpec { endurance, ..Default::default() },
         );
-        let t = Instant::now();
-        let report = run_scenario(&scenario).expect("speed probe scenario failed");
-        let r = report.lifetime();
-        let dt = t.elapsed().as_secs_f64();
-        let mw_per_sec = r.demand_writes as f64 / dt / 1e6;
+        let (timings, r) = timed_scenario(&scenario);
+        let dt = timings.median();
+        let (mw_per_sec, mw_per_sec_min, mw_per_sec_max) = timings.mwps(r.demand_writes);
         println!(
-            "{name}: nl={:.3} demand={} overhead={:.3} died={} in {dt:.2}s ({mw_per_sec:.1} Mw/s)",
+            "{name}: nl={:.3} demand={} overhead={:.3} died={} in {dt:.2}s ({mw_per_sec:.1} Mw/s, \
+             {mw_per_sec_min:.1}..{mw_per_sec_max:.1})",
             r.normalized_lifetime, r.demand_writes, r.overhead_fraction, r.device_died,
         );
         schemes.push(SchemeSpeed {
             name: name.into(),
             mw_per_sec,
+            mw_per_sec_min,
+            mw_per_sec_max,
             wall_seconds: dt,
             demand_writes: r.demand_writes,
             normalized_lifetime: r.normalized_lifetime,
@@ -226,11 +296,9 @@ fn main() {
 
         if with_telemetry {
             let instrumented = scenario.with_telemetry(TelemetrySpec::with_stride(stride));
-            let t = Instant::now();
-            let report = run_scenario(&instrumented).expect("telemetry speed scenario failed");
-            let r = report.lifetime();
-            let dt = t.elapsed().as_secs_f64();
-            let telemetry_mw_per_sec = r.demand_writes as f64 / dt / 1e6;
+            let (timings, r) = timed_scenario(&instrumented);
+            let dt = timings.median();
+            let (telemetry_mw_per_sec, ..) = timings.mwps(r.demand_writes);
             let overhead_pct = (mw_per_sec / telemetry_mw_per_sec - 1.0) * 100.0;
             let samples = r.telemetry.as_ref().map(|s| s.samples.len() as u64).unwrap_or_default();
             println!(
@@ -264,6 +332,7 @@ fn main() {
         smoke,
         data_lines,
         endurance,
+        runs: RUNS,
         schemes,
         scaling,
     };

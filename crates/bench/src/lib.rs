@@ -2,8 +2,8 @@
 //!
 //! One binary per table and figure of the paper (`src/bin/fig*.rs`,
 //! `tab1_config.rs`, `sec45_overhead.rs`), plus ablation binaries for the
-//! design choices called out in DESIGN.md §9 and Criterion microbenchmarks
-//! for the hot paths (`benches/hot_paths.rs`).
+//! design choices called out in DESIGN.md §9 and `speed_probe`, which
+//! times the BPA lifetime probe per scheme into `BENCH_speed.json`.
 //!
 //! The binaries do not drive wear levelers themselves: each one builds a
 //! grid of [`sawl_simctl::Scenario`]s, runs it through

@@ -7,9 +7,10 @@
 //! `base64(1)` and every client library, without pulling a dependency
 //! into the daemon.
 
+const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
 /// Encode `data` as standard padded base64.
 pub fn encode(data: &[u8]) -> String {
-    const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
     for chunk in data.chunks(3) {
         let n = ((chunk[0] as u32) << 16)
@@ -24,8 +25,9 @@ pub fn encode(data: &[u8]) -> String {
 }
 
 /// Decode standard padded base64. Rejects non-alphabet bytes, lengths
-/// that are not a multiple of four, and interior padding — uploads are
-/// state, so anything ambiguous is an error, not a guess.
+/// that are not a multiple of four, interior padding, and non-zero bits
+/// under the padding (`"QR=="` would otherwise alias `"QQ=="`) — uploads
+/// are state, so anything ambiguous is an error, not a guess.
 pub fn decode(s: &str) -> Result<Vec<u8>, String> {
     let bytes = s.as_bytes();
     if !bytes.len().is_multiple_of(4) {
@@ -58,6 +60,10 @@ pub fn decode(s: &str) -> Result<Vec<u8>, String> {
             }
         }
         let n = (vals[0] << 18) | (vals[1] << 12) | (vals[2] << 6) | vals[3];
+        // One pad drops the low 8 bits, two drop the low 16: they must be zero.
+        if n & ((1 << (8 * pad)) - 1) != 0 {
+            return Err("base64 pad bits of the final group must be zero".into());
+        }
         out.push((n >> 16) as u8);
         if pad < 2 {
             out.push((n >> 8) as u8);
@@ -72,6 +78,7 @@ pub fn decode(s: &str) -> Result<Vec<u8>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_all_padding_lengths() {
@@ -99,8 +106,58 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["Zg", "Zg=", "Z===", "=Zg=", "Zg==Zg==", "Zm9v!A==", "Zm 9v"] {
+        for bad in
+            ["Zg", "Zg=", "Z===", "=Zg=", "Zg==Zg==", "Zm9v!A==", "Zm 9v", "QR==", "Zm9=", "Zh=="]
+        {
             assert!(decode(bad).is_err(), "{bad:?} should be rejected");
+        }
+    }
+
+    /// Draw strings mostly from the base64 alphabet plus `=`, so the
+    /// cases reach the padding and pad-bit checks rather than failing on
+    /// the first stray byte.
+    fn b64ish(picks: &[u8]) -> String {
+        const CHARS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/==!";
+        picks.iter().map(|&p| CHARS[p as usize % CHARS.len()] as char).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512 })]
+
+        #[test]
+        fn decode_never_panics(
+            raw in prop::collection::vec(any::<u8>(), 0..24),
+            picks in prop::collection::vec(any::<u8>(), 0..24),
+        ) {
+            let _ = decode(&String::from_utf8_lossy(&raw));
+            let _ = decode(&b64ish(&picks));
+        }
+
+        #[test]
+        fn decode_inverts_encode(data in prop::collection::vec(any::<u8>(), 0..48)) {
+            assert_eq!(decode(&encode(&data)).unwrap(), data);
+        }
+
+        #[test]
+        fn nonzero_pad_bits_are_rejected(
+            data in prop::collection::vec(any::<u8>(), 1..32),
+            flip in any::<u8>(),
+        ) {
+            let enc = encode(&data);
+            let pad = enc.bytes().rev().take_while(|&c| c == b'=').count();
+            if pad > 0 {
+                // The last data symbol carries 2 (one pad) or 4 (two pads)
+                // pad bits; set a non-zero pattern in them.
+                let pad_bits = if pad == 1 { 2 } else { 4 };
+                let low = 1 + u32::from(flip) % ((1 << pad_bits) - 1);
+                let at = enc.len() - pad - 1;
+                let sym = enc.as_bytes()[at];
+                let val = ALPHABET.iter().position(|&c| c == sym).unwrap() as u32 | low;
+                let mut bad = enc.into_bytes();
+                bad[at] = ALPHABET[val as usize];
+                let bad = String::from_utf8(bad).unwrap();
+                assert!(decode(&bad).is_err(), "{bad:?} has non-zero pad bits");
+            }
         }
     }
 }

@@ -10,8 +10,8 @@
 //! * [`daemon`] — the [`Daemon`]: tenant registry, MPMC worker pool
 //!   slicing runs fairly across cores, periodic atomic checkpoints,
 //!   graceful shutdown, and restart recovery from the state directory.
-//! * [`signal`] — a dependency-free SIGTERM/SIGINT latch the binary
-//!   uses to turn signals into graceful shutdown.
+//! * [`signal`] — the SIGTERM/SIGINT latch the binary uses to turn
+//!   signals into graceful shutdown (re-exported from `sawl-simctl`).
 //! * [`b64`] — dependency-free standard base64, so clients can ship
 //!   binary workload traces ([`Request::UploadTrace`]) down the
 //!   line-JSON socket and replay them via `TraceFile` workloads.
@@ -27,8 +27,8 @@
 pub mod b64;
 pub mod daemon;
 pub mod protocol;
-pub mod signal;
 mod tenant;
 
 pub use daemon::{Daemon, Endpoint, ServeConfig};
 pub use protocol::{serve_connection, write_line, Request, Response, TenantStatus};
+pub use sawl_simctl::signal;

@@ -42,9 +42,9 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use sawl_simctl::{
-    run_lifetime, run_perf, stable_seed, DeviceSpec, DriverError, FaultPlan, LifetimeExperiment,
-    PerfExperiment, ResumableRun, SchemeSpec, TelemetrySpec, TimingSpec, WorkloadSpec,
-    DEFAULT_CHECKPOINT_INTERVAL,
+    run_lifetime, run_perf, signal, stable_seed, DeviceSpec, DriverError, FaultPlan,
+    LifetimeExperiment, PerfExperiment, ResumableRun, SchemeSpec, TelemetrySpec, TimingSpec,
+    WorkloadSpec, DEFAULT_CHECKPOINT_INTERVAL,
 };
 use sawl_trace::{SpecBenchmark, TraceWriter};
 
@@ -62,48 +62,6 @@ fn driver_exit_code(e: &DriverError) -> u8 {
         DriverError::WriteFreeStream { .. }
         | DriverError::Checkpoint(_)
         | DriverError::Report(_) => 1,
-    }
-}
-
-/// SIGINT/SIGTERM latch: the handler only sets a flag; the run loop polls
-/// it at batch boundaries so interrupted runs stop at a consistent point,
-/// flush their telemetry, and report partially instead of vanishing.
-#[cfg(unix)]
-mod interrupt {
-    use std::os::raw::c_int;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static STOP: AtomicBool = AtomicBool::new(false);
-
-    const SIGINT: c_int = 2;
-    const SIGTERM: c_int = 15;
-
-    extern "C" fn latch(_signum: c_int) {
-        STOP.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: c_int, handler: usize) -> usize;
-    }
-
-    pub fn install() {
-        unsafe {
-            signal(SIGINT, latch as extern "C" fn(c_int) as usize);
-            signal(SIGTERM, latch as extern "C" fn(c_int) as usize);
-        }
-    }
-
-    pub fn requested() -> bool {
-        STOP.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod interrupt {
-    pub fn install() {}
-
-    pub fn requested() -> bool {
-        false
     }
 }
 
@@ -266,13 +224,13 @@ fn run_lifetime_cli(raw: &str, args: &RunArgs) -> Result<(String, u8), (String, 
         let finished = match &args.checkpoint {
             Some(path) => {
                 let interval = args.checkpoint_interval.unwrap_or(DEFAULT_CHECKPOINT_INTERVAL);
-                run.run_with_checkpoints(Path::new(path), interval, interrupt::requested)
+                run.run_with_checkpoints(Path::new(path), interval, signal::requested)
                     .map_err(fail)?
             }
             None => {
                 let mut finished = true;
                 while run.step().map_err(fail)? {
-                    if interrupt::requested() {
+                    if signal::requested() {
                         finished = false;
                         break;
                     }
@@ -480,7 +438,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            interrupt::install();
+            signal::install();
             let out = if mode == "lifetime" {
                 run_lifetime_cli(&raw, &run_args)
             } else {

@@ -24,6 +24,8 @@
 //!   seeded deterministically ([`seed`]).
 //! * [`report`] — CSV and aligned-table rendering for the figure binaries.
 //! * [`sysconfig`] — the Table 1 system configuration, printable.
+//! * [`signal`] — a dependency-free SIGINT/SIGTERM latch for graceful
+//!   interruption of long runs.
 
 pub mod driver;
 pub mod lifetime;
@@ -33,6 +35,7 @@ pub mod resume;
 pub mod runner;
 pub mod scenario;
 pub mod seed;
+pub mod signal;
 pub mod spec;
 pub mod sysconfig;
 pub mod telemetry;

@@ -201,43 +201,21 @@ impl SchemeSpec {
                 period,
                 derive(seed, "mwsr"),
             )),
-            Self::Nwl { .. } => {
-                SchemeInstance::Nwl(self.build_nwl(data_lines, seed).expect("variant is Nwl"))
+            Self::Nwl { granularity, cmt_entries, swap_period } => {
+                SchemeInstance::Nwl(Nwl::new(NwlConfig {
+                    data_lines,
+                    granularity,
+                    cmt_entries,
+                    swap_period,
+                    gtd_period: 32,
+                    seed: derive(seed, "nwl"),
+                }))
             }
             Self::Sawl(ref cfg) => SchemeInstance::Sawl(
                 Sawl::try_new(SawlConfig { data_lines, seed: derive(seed, "sawl"), ..cfg.clone() })
                     .map_err(DriverError::Config)?,
             ),
         })
-    }
-
-    /// Instantiate a concrete NWL engine when this spec selects one (the
-    /// tiered drivers need the concrete type for CMT introspection).
-    pub fn build_nwl(&self, data_lines: u64, seed: u64) -> Option<Nwl> {
-        match *self {
-            Self::Nwl { granularity, cmt_entries, swap_period } => Some(Nwl::new(NwlConfig {
-                data_lines,
-                granularity,
-                cmt_entries,
-                swap_period,
-                gtd_period: 32,
-                seed: derive(seed, "nwl"),
-            })),
-            _ => None,
-        }
-    }
-
-    /// Instantiate a concrete SAWL engine when this spec selects one (the
-    /// tiered drivers need the concrete type for history/stats access).
-    pub fn build_sawl(&self, data_lines: u64, seed: u64) -> Option<Sawl> {
-        match self {
-            Self::Sawl(cfg) => Some(Sawl::new(SawlConfig {
-                data_lines,
-                seed: derive(seed, "sawl"),
-                ..cfg.clone()
-            })),
-            _ => None,
-        }
     }
 
     /// Physical lines the device must provide for this scheme over
