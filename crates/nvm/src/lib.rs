@@ -13,10 +13,11 @@
 //! spare pool. The paper provisions 4M spares for 256M lines (1/64); that is
 //! the default here.
 //!
-//! The crate also carries the latency model (Table 1 of the paper) used by
-//! `sawl-timing`, bank geometry, and wear-distribution statistics
+//! The crate also carries the fault plan (stuck-at lines, transient write
+//! faults, scheduled power loss) and wear-distribution statistics
 //! (max/mean/CoV/Gini/histograms) used to analyse how well a wear-leveling
-//! scheme balances writes.
+//! scheme balances writes. Access timing is not modelled here:
+//! `sawl-timing` owns the controller and its Table 1 latencies.
 //!
 //! ## Example
 //!
@@ -33,22 +34,16 @@
 //! assert_eq!(dev.wear().total_writes, 1);
 //! ```
 
-pub mod bank;
 pub mod config;
 pub mod device;
-pub mod energy;
 pub mod fault;
-pub mod latency;
 pub mod stats;
 pub mod variation;
 pub mod wear;
 
-pub use bank::BankGeometry;
 pub use config::{NvmConfig, NvmConfigBuilder, NvmConfigError};
 pub use device::{NvmDevice, WearCounters, WearSnapshot, WriteOutcome};
-pub use energy::EnergyModel as AccessEnergyModel;
 pub use fault::{FaultPlan, FaultPlanError};
-pub use latency::{LatencyConfig, MemTech};
 pub use stats::{FaultCounters, WearStats};
 pub use variation::EnduranceModel;
 pub use wear::WearState;

@@ -7,12 +7,23 @@
 //! short-lived: a client sends any number of request lines and the
 //! daemon answers each in order; EOF (or a `Shutdown` exchange) ends the
 //! conversation. Malformed lines never kill the connection — they come
-//! back as [`Response::Error`].
+//! back as [`Response::Error`]. A line longer than [`MAX_LINE_BYTES`] is
+//! answered with an `Error` too, and then the connection is closed: the
+//! daemon never buffers more than that per client.
 
 use std::io::{BufRead, BufReader, Read, Write};
 
 use sawl_simctl::{LifetimeExperiment, LifetimeResult};
 use serde::{Deserialize, Serialize};
+
+/// Largest trace an [`Request::UploadTrace`] line has room for: 16 MiB,
+/// i.e. 2^21 eight-byte records. Bigger traces go on a filesystem the
+/// daemon can read, named by path in a `TraceFile` workload spec.
+const MAX_UPLOAD_TRACE_BYTES: usize = 16 << 20;
+
+/// Longest request line the daemon reads, newline excluded: the base64 of
+/// the largest trace upload plus 4 KiB for the JSON envelope and the name.
+pub const MAX_LINE_BYTES: usize = MAX_UPLOAD_TRACE_BYTES.div_ceil(3) * 4 + 4096;
 
 /// A control command, one JSON line on the wire.
 ///
@@ -145,23 +156,40 @@ pub fn write_line<W: Write, T: Serialize>(w: &mut W, value: &T) -> std::io::Resu
 /// Answer every request line on `stream` until EOF, via `handle`.
 ///
 /// Returns `true` if the conversation ended with a `Shutdown` exchange
-/// (the response is still written before the connection closes).
+/// (the response is still written before the connection closes). A line
+/// over [`MAX_LINE_BYTES`] gets an `Error` answer and ends the
+/// conversation (`false`) without reading the rest of it.
 pub fn serve_connection<S, F>(stream: S, mut handle: F) -> std::io::Result<bool>
 where
     S: Read + Write,
     F: FnMut(Request) -> Response,
 {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        // One byte past the cap tells an over-long line from one that ends
+        // exactly at it.
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(cap).read_until(b'\n', &mut line)? == 0 {
             return Ok(false);
         }
-        if line.trim().is_empty() {
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        }
+        if line.len() > MAX_LINE_BYTES {
+            let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes; closing connection");
+            write_line(reader.get_mut(), &Response::error(msg))?;
+            return Ok(false);
+        }
+        let text = std::str::from_utf8(&line).map(str::trim);
+        if text.is_ok_and(str::is_empty) {
             continue;
         }
-        let (response, shutdown) = match serde_json::from_str::<Request>(line.trim()) {
+        let parsed = text
+            .map_err(|e| e.to_string())
+            .and_then(|t| serde_json::from_str::<Request>(t).map_err(|e| e.to_string()));
+        let (response, shutdown) = match parsed {
             Ok(req) => {
                 let shutdown = matches!(req, Request::Shutdown);
                 (handle(req), shutdown)

@@ -1,5 +1,5 @@
-//! In-process daemon tests: protocol over real TCP, graceful shutdown,
-//! restart recovery, and a bounded multi-tenant soak.
+//! In-process daemon tests: protocol over real TCP, the request-line cap,
+//! graceful shutdown, restart recovery, and a bounded multi-tenant soak.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -389,6 +389,36 @@ fn corrupt_trace_uploads_are_rejected_before_touching_disk() {
     assert_eq!((requests, space_lines), (1, 64));
     assert!(dir.join("t.trc").exists());
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn over_long_request_line_gets_a_typed_error_and_the_daemon_keeps_serving() {
+    let dir = unique_dir("linecap");
+    let fx = Fixture::start(ServeConfig::new(&dir));
+
+    // One byte past the cap and no newline: the daemon must answer with an
+    // error and close, not wait for the line to end.
+    let stream = TcpStream::connect(fx.addr).unwrap();
+    // A daemon that waits for the newline fails the test instead of hanging it.
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut reader = BufReader::new(stream);
+    let flood = vec![b'a'; sawl_serve::protocol::MAX_LINE_BYTES + 1];
+    reader.get_mut().write_all(&flood).unwrap();
+    reader.get_mut().flush().unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let resp: Response = serde_json::from_str(line.trim()).expect("daemon answers valid JSON");
+    assert!(
+        matches!(&resp, Response::Error { message } if message.contains("exceeds")),
+        "{resp:?}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection must close after the error");
+
+    // A second client is served as usual.
+    assert!(matches!(call(fx.addr, &Request::Ping), Response::Pong));
+    fx.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -7,13 +7,14 @@
 //! hand-roll it; they describe *what* to run ([`crate::scenario`]) and the
 //! driver does the running.
 //!
-//! The loop is **batched**: requests are drained from the stream into a
-//! reusable [`BLOCK`]-request buffer via [`AddressStream::fill`], so the
-//! per-request cost of a `Box<dyn AddressStream>` is one virtual dispatch
-//! (and one RNG state load) per block rather than per request. The request
-//! sequence each pump applies is bit-identical to the scalar
-//! `next_req`-per-request loop it replaced — `fill` guarantees it, and the
-//! driver equivalence tests enforce it end to end.
+//! The loop is **batched**: requests are drained from the stream
+//! [`BLOCK`] at a time as runs of identical requests via
+//! [`AddressStream::fill_runs`], so the per-request cost of a
+//! `Box<dyn AddressStream>` is one virtual dispatch (and one RNG state
+//! load) per block rather than per request. The request sequence each pump
+//! applies is bit-identical to the scalar `next_req`-per-request loop it
+//! replaced — `fill_runs` guarantees it, and the driver equivalence tests
+//! enforce it end to end.
 
 use std::error::Error;
 use std::fmt;
@@ -189,18 +190,22 @@ pub fn pump_observed<W, S, F>(
     S: AddressStream + ?Sized,
     F: FnMut(MemReq, u64, &W, &NvmDevice),
 {
-    let mut buf = [MemReq::read(0); BLOCK];
+    let mut scratch = [MemReq::read(0); BLOCK];
+    let mut runs = Vec::new();
     let mut left = requests;
     while left > 0 {
         let n = left.min(BLOCK as u64) as usize;
         feed_observation(stream, dev);
-        let filled = stream.fill(&mut buf[..n]);
-        for &req in &buf[..filled] {
-            let pa = if req.write { wl.write(req.la, dev) } else { wl.read(req.la, dev) };
-            observe(req, pa, wl, dev);
+        let filled = stream.fill_runs(&mut runs, &mut scratch[..n]);
+        assert!(filled == n as u64, "streams are infinite; fill_runs must not short a block");
+        for run in &runs {
+            let req = MemReq { la: run.la, write: run.write };
+            for _ in 0..run.len {
+                let pa = if req.write { wl.write(req.la, dev) } else { wl.read(req.la, dev) };
+                observe(req, pa, wl, dev);
+            }
         }
-        left -= filled as u64;
-        assert!(filled == n, "address streams are infinite; fill must not short a block");
+        left -= filled;
     }
 }
 
@@ -475,7 +480,7 @@ mod tests {
     use super::*;
     use sawl_algos::{Ideal, NoWl};
     use sawl_nvm::NvmConfig;
-    use sawl_trace::Uniform;
+    use sawl_trace::{Bpa, Phased, Uniform};
 
     fn device(lines: u64, endurance: u32) -> NvmDevice {
         NvmDevice::new(
@@ -657,16 +662,46 @@ mod tests {
         assert_eq!(dev_a.write_counts(), dev_b.write_counts());
     }
 
-    #[test]
-    fn pump_observed_matches_scalar_order_across_blocks() {
+    /// `pump_observed` must see, in order, exactly the requests the scalar
+    /// loop issues, and leave the device in the same state.
+    fn assert_observed_matches_scalar<S: AddressStream>(mk: impl Fn() -> S, requests: u64) {
         let mut wl = NoWl::new(1 << 8);
         let mut dev = device(1 << 8, u32::MAX);
-        let mut stream = Uniform::new(1 << 8, 0.5, 3);
         let mut observed: Vec<MemReq> = Vec::new();
-        pump_observed(&mut wl, &mut dev, &mut stream, 9_000, |req, _, _, _| observed.push(req));
+        pump_observed(&mut wl, &mut dev, &mut mk(), requests, |req, _, _, _| observed.push(req));
 
-        let mut reference = Uniform::new(1 << 8, 0.5, 3);
-        let expected: Vec<MemReq> = (0..9_000).map(|_| reference.next_req()).collect();
+        let mut reference = mk();
+        let expected: Vec<MemReq> = (0..requests).map(|_| reference.next_req()).collect();
         assert_eq!(observed, expected);
+
+        let mut wl_ref = NoWl::new(1 << 8);
+        let mut dev_ref = device(1 << 8, u32::MAX);
+        scalar_pump(&mut wl_ref, &mut dev_ref, &mut mk(), requests);
+        assert_eq!(dev.wear(), dev_ref.wear());
+        assert_eq!(dev.write_counts(), dev_ref.write_counts());
+    }
+
+    #[test]
+    fn pump_observed_matches_scalar_order_across_blocks() {
+        assert_observed_matches_scalar(|| Uniform::new(1 << 8, 0.5, 3), 9_000);
+    }
+
+    #[test]
+    fn pump_observed_matches_scalar_for_bpa_dwells_across_blocks() {
+        // Dwell 1000 does not divide BLOCK: dwells straddle block edges.
+        assert_observed_matches_scalar(|| Bpa::new(1 << 8, 1_000, 5), 3 * BLOCK as u64 + 17);
+    }
+
+    #[test]
+    fn pump_observed_matches_scalar_for_phased_streams() {
+        // Phase lengths straddle block edges; the BPA phase emits dwells
+        // through Phased's delegating `fill_runs`.
+        let mk = || {
+            Phased::new(vec![
+                (3_000, Box::new(Bpa::new(1 << 8, 700, 2)) as Box<dyn AddressStream + Send>),
+                (1_500, Box::new(Uniform::new(1 << 8, 0.5, 1))),
+            ])
+        };
+        assert_observed_matches_scalar(mk, 4 * BLOCK as u64 + 5);
     }
 }

@@ -42,7 +42,7 @@ impl Default for SystemConfig {
                 r(
                     "Read/Write latency",
                     "DRAM 50/50ns, PCM 50/350ns",
-                    "identical (sawl-nvm::LatencyConfig)",
+                    "PCM identical (sawl_timing::ClosedLoopConfig::table1)",
                 ),
                 r(
                     "Address translation latency",

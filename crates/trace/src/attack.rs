@@ -39,11 +39,6 @@ impl AddressStream for Raa {
         MemReq::write(self.target)
     }
 
-    fn fill(&mut self, buf: &mut [MemReq]) -> usize {
-        buf.fill(MemReq::write(self.target));
-        buf.len()
-    }
-
     fn fill_runs(&mut self, runs: &mut Vec<ReqRun>, scratch: &mut [MemReq]) -> u64 {
         // The whole block is one run; `scratch` is only the request budget.
         runs.clear();
@@ -93,11 +88,6 @@ impl Bpa {
         let current = rng.random_range(0..space);
         Self { rng, space, writes_per_target, current, remaining: writes_per_target }
     }
-
-    /// The line currently being hammered.
-    pub fn current_target(&self) -> u64 {
-        self.current
-    }
 }
 
 impl AddressStream for Bpa {
@@ -111,29 +101,10 @@ impl AddressStream for Bpa {
         MemReq::write(self.current)
     }
 
-    fn fill(&mut self, buf: &mut [MemReq]) -> usize {
-        // The dwell structure makes whole runs of identical requests: emit
-        // each run with a slice fill instead of request-at-a-time RNG
-        // bookkeeping. Draw order matches `next_req` exactly (one draw per
-        // target).
-        let mut i = 0;
-        while i < buf.len() {
-            if self.remaining == 0 {
-                self.current = self.rng.random_range(0..self.space);
-                self.remaining = self.writes_per_target;
-            }
-            let run = self.remaining.min((buf.len() - i) as u64) as usize;
-            buf[i..i + run].fill(MemReq::write(self.current));
-            self.remaining -= run as u64;
-            i += run;
-        }
-        buf.len()
-    }
-
     fn fill_runs(&mut self, runs: &mut Vec<ReqRun>, scratch: &mut [MemReq]) -> u64 {
         // One `ReqRun` per dwell (or dwell fragment at the block budget
-        // boundary): no request materialization, no scan — the run-level
-        // pump costs O(1) per dwell instead of O(dwell).
+        // boundary): the run-level pump costs O(1) per dwell instead of
+        // O(dwell). Draw order matches `next_req` (one draw per target).
         runs.clear();
         let budget = scratch.len() as u64;
         let mut total = 0;

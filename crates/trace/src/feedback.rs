@@ -21,7 +21,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::zipf::Zipf;
-use crate::{AddressStream, CursorKind, MemReq, ReqRun, WearObservation};
+use crate::{AddressStream, CursorKind, MemReq, WearObservation};
 
 /// What the generator is currently emitting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,9 +108,11 @@ impl GcFeedback {
         (self.base_threshold + self.waf_gain * (obs.waf() - 1.0) - self.cov_gain * obs.wear_cov)
             .clamp(0.02, 0.98)
     }
+}
 
+impl AddressStream for GcFeedback {
     #[inline]
-    fn gen_one(&mut self) -> MemReq {
+    fn next_req(&mut self) -> MemReq {
         match self.mode {
             Mode::Host => {
                 let la = self.zipf.sample(&mut self.rng);
@@ -130,45 +132,6 @@ impl GcFeedback {
                 MemReq::write(la)
             }
         }
-    }
-}
-
-impl AddressStream for GcFeedback {
-    #[inline]
-    fn next_req(&mut self) -> MemReq {
-        self.gen_one()
-    }
-
-    fn fill(&mut self, buf: &mut [MemReq]) -> usize {
-        for slot in buf.iter_mut() {
-            *slot = self.gen_one();
-        }
-        buf.len()
-    }
-
-    fn fill_runs(&mut self, runs: &mut Vec<ReqRun>, scratch: &mut [MemReq]) -> u64 {
-        // Coalesce directly off the generator: host-mode hot ranks repeat
-        // back to back, and the mode machine advances exactly as in
-        // `next_req` (the trigger itself only moves in `observe_wear`,
-        // which drivers call at batch boundaries — never mid-block).
-        runs.clear();
-        let mut cur: Option<ReqRun> = None;
-        for _ in 0..scratch.len() {
-            let req = self.gen_one();
-            match &mut cur {
-                Some(run) if run.la == req.la && run.write == req.write => run.len += 1,
-                _ => {
-                    if let Some(run) = cur.replace(ReqRun { la: req.la, write: req.write, len: 1 })
-                    {
-                        runs.push(run);
-                    }
-                }
-            }
-        }
-        if let Some(run) = cur {
-            runs.push(run);
-        }
-        scratch.len() as u64
     }
 
     fn space_lines(&self) -> u64 {

@@ -33,7 +33,7 @@ use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::{AddressStream, CursorKind, MemReq, ReqRun};
+use crate::{AddressStream, CursorKind, MemReq};
 
 const MAGIC_V1: &[u8; 8] = b"SAWLTRC1";
 const MAGIC_V2: &[u8; 8] = b"SAWLTRC2";
@@ -358,36 +358,6 @@ impl TraceFileStream {
 impl AddressStream for TraceFileStream {
     fn next_req(&mut self) -> MemReq {
         self.read_record()
-    }
-
-    fn fill(&mut self, buf: &mut [MemReq]) -> usize {
-        for slot in buf.iter_mut() {
-            *slot = self.read_record();
-        }
-        buf.len()
-    }
-
-    fn fill_runs(&mut self, runs: &mut Vec<ReqRun>, scratch: &mut [MemReq]) -> u64 {
-        // Coalesce while reading: repeated records (hammer phases in real
-        // traces) collapse into runs without a second scan over scratch.
-        runs.clear();
-        let mut cur: Option<ReqRun> = None;
-        for _ in 0..scratch.len() {
-            let req = self.read_record();
-            match cur.as_mut() {
-                Some(run) if run.la == req.la && run.write == req.write => run.len += 1,
-                _ => {
-                    if let Some(run) = cur.take() {
-                        runs.push(run);
-                    }
-                    cur = Some(ReqRun { la: req.la, write: req.write, len: 1 });
-                }
-            }
-        }
-        if let Some(run) = cur {
-            runs.push(run);
-        }
-        scratch.len() as u64
     }
 
     fn space_lines(&self) -> u64 {

@@ -41,11 +41,6 @@ impl Interleave {
         Self { children, slice, current: 0, remaining: slice, space, label, child_runs: Vec::new() }
     }
 
-    /// Index of the tenant currently holding the device.
-    pub fn current_tenant(&self) -> usize {
-        self.current
-    }
-
     #[inline]
     fn advance_slice(&mut self) {
         if self.remaining == 0 {
@@ -62,23 +57,9 @@ impl AddressStream for Interleave {
         self.children[self.current].next_req()
     }
 
-    fn fill(&mut self, buf: &mut [MemReq]) -> usize {
-        // Delegate whole in-slice runs to the child's own batched path, so
-        // interleaving costs one virtual dispatch per slice fragment
-        // instead of one per request.
-        let mut i = 0;
-        while i < buf.len() {
-            self.advance_slice();
-            let run = self.remaining.min((buf.len() - i) as u64) as usize;
-            self.children[self.current].fill(&mut buf[i..i + run]);
-            self.remaining -= run as u64;
-            i += run;
-        }
-        buf.len()
-    }
-
     fn fill_runs(&mut self, runs: &mut Vec<ReqRun>, scratch: &mut [MemReq]) -> u64 {
         // Delegate slice fragments to each child's `fill_runs`, so
+        // interleaving costs one virtual dispatch per slice fragment and
         // run-structured tenants (BPA dwells, RAA) keep their O(1)-per-run
         // emission through the interleaver.
         runs.clear();
@@ -178,29 +159,6 @@ mod tests {
         let seq: Vec<u64> = (0..8).map(|_| i.next_req().la).collect();
         // The scan resumes where it left off after the RAA slice.
         assert_eq!(seq, vec![0, 1, 15, 15, 2, 3, 15, 15]);
-    }
-
-    #[test]
-    fn fill_matches_next_req() {
-        let mk = || {
-            Interleave::new(
-                vec![
-                    boxed(Bpa::new(1 << 10, 96, 3)),
-                    boxed(SeqScan::new(1 << 10, 0, 64, 0.7, 5)),
-                    boxed(Raa::new(7, 1 << 10)),
-                ],
-                100,
-            )
-        };
-        let mut batched = mk();
-        let mut scalar = mk();
-        let mut buf = [MemReq::read(0); 512];
-        for round in 0..5 {
-            batched.fill(&mut buf);
-            for (i, slot) in buf.iter().enumerate() {
-                assert_eq!(*slot, scalar.next_req(), "round {round} request {i}");
-            }
-        }
     }
 
     #[test]

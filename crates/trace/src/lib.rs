@@ -28,10 +28,8 @@ pub mod file;
 pub mod interleave;
 pub mod patterns;
 pub mod phased;
-pub mod rate_mode;
 pub mod reuse;
 pub mod spec;
-pub mod stats;
 pub mod ycsb;
 pub mod zipf;
 
@@ -44,10 +42,8 @@ pub use file::{TraceFileStream, TraceReader, TraceWriter};
 pub use interleave::Interleave;
 pub use patterns::{Hotspot, SeqScan, Stride, Uniform, ZipfStream};
 pub use phased::{Mix, Phased};
-pub use rate_mode::RateMode;
 pub use reuse::ReuseTracker;
 pub use spec::{SpecBenchmark, SpecModel, ALL_BENCHMARKS};
-pub use stats::StreamStats;
 pub use ycsb::Ycsb;
 pub use zipf::Zipf;
 
@@ -143,11 +139,13 @@ pub trait AddressStream {
     fn next_req(&mut self) -> MemReq;
 
     /// Fill `buf` with the next `buf.len()` requests and return how many
-    /// were produced (always `buf.len()` — streams are infinite). The
-    /// sequence is bit-identical to calling [`next_req`](Self::next_req)
-    /// `buf.len()` times; batching exists so drivers pay one virtual
-    /// dispatch per block instead of one per request. Hot generators
-    /// override this to hoist per-request invariant loads out of the loop.
+    /// were produced (always `buf.len()` — streams are infinite), in the
+    /// [`next_req`](Self::next_req) order.
+    ///
+    /// No workspace code calls this: [`fill_runs`](Self::fill_runs) is the
+    /// one batched path. It stays on the trait only because the benchmark
+    /// crate's forwarding wrappers override it, and goes with the next
+    /// change to the benchmark.
     fn fill(&mut self, buf: &mut [MemReq]) -> usize {
         for slot in buf.iter_mut() {
             *slot = self.next_req();
@@ -155,45 +153,58 @@ pub trait AddressStream {
         buf.len()
     }
 
-    /// Drain the next `scratch.len()` requests as runs of identical
-    /// consecutive requests, replacing the contents of `runs`. Returns the
-    /// total number of requests covered (always `scratch.len()`).
+    /// The one batched stream path: drain the next `scratch.len()`
+    /// requests as runs of identical consecutive requests, replacing the
+    /// contents of `runs`. Returns the total number of requests covered
+    /// (always `scratch.len()`); `scratch` is only the request budget.
     ///
-    /// Flattening the produced runs yields exactly the request sequence
-    /// [`fill`](Self::fill) would have written, except that run boundaries
+    /// Flattening the produced runs yields exactly the
+    /// [`next_req`](Self::next_req) sequence, except that run boundaries
     /// are unspecified: a maximal run may be split across several `ReqRun`
     /// entries (never merged out of order). Batched drivers must therefore
     /// treat consecutive entries independently — which the device/scheme
     /// `write_run` split-equivalence already guarantees.
     ///
-    /// The default derives runs by scanning a [`fill`] block through
-    /// `scratch`; run-structured generators (BPA, RAA) override it to emit
-    /// runs directly, skipping both the request materialization and the
-    /// scan.
+    /// The default coalesces straight off `next_req`, which is statically
+    /// dispatched and inlined in each generator's copy of this method, so
+    /// a new generator needs nothing more. Override it only to do strictly
+    /// better: run-structured generators (BPA, RAA) emit whole runs in
+    /// O(1), and the combinators delegate to their children's own paths.
     fn fill_runs(&mut self, runs: &mut Vec<ReqRun>, scratch: &mut [MemReq]) -> u64 {
         runs.clear();
-        let filled = self.fill(scratch);
-        let mut i = 0;
-        while i < filled {
-            let req = scratch[i];
-            let mut j = i + 1;
-            while j < filled && scratch[j] == req {
-                j += 1;
-            }
-            runs.push(ReqRun { la: req.la, write: req.write, len: (j - i) as u64 });
-            i = j;
+        let budget = scratch.len() as u64;
+        if budget == 0 {
+            return 0;
         }
-        filled as u64
+        let first = self.next_req();
+        let mut cur = ReqRun { la: first.la, write: first.write, len: 1 };
+        for _ in 1..budget {
+            let req = self.next_req();
+            if req.la == cur.la && req.write == cur.write {
+                cur.len += 1;
+            } else {
+                runs.push(cur);
+                cur = ReqRun { la: req.la, write: req.write, len: 1 };
+            }
+        }
+        runs.push(cur);
+        budget
     }
 
     /// Fast-forward the stream by replaying `batches` complete
     /// [`fill_runs`](Self::fill_runs) calls of `scratch.len()` requests
-    /// each, discarding the output. This is the resume cursor: a stream's
-    /// internal state after N batches is a deterministic function of
-    /// (generator parameters, seed, batch size, N), so a checkpoint needs
-    /// to record only the batch count — rebuilding the stream from its
-    /// spec and replaying the same call pattern lands it exactly where
-    /// the original run left off.
+    /// each, discarding the output. This is the resume cursor of a
+    /// [`CursorKind::Replay`] stream: its internal state after N batches is
+    /// a deterministic function of (generator parameters, seed, batch
+    /// size, N), so a checkpoint needs to record only the batch count —
+    /// rebuilding the stream from its spec and replaying the same call
+    /// pattern lands it exactly where the original run left off.
+    ///
+    /// Every built-in generator has a [`CursorKind::State`] cursor, so only
+    /// a user-defined stream ever replays. This is a trait method rather
+    /// than a loop in the resume path only because the benchmark crate's
+    /// wrappers override it; like [`fill`](Self::fill), it goes with the
+    /// next change to the benchmark.
     fn skip_batches(&mut self, batches: u64, scratch: &mut [MemReq]) {
         let mut runs = Vec::new();
         for _ in 0..batches {
@@ -218,9 +229,9 @@ pub trait AddressStream {
     }
 
     /// Feed the stream a wear summary. Drivers call this immediately
-    /// before every [`fill`](Self::fill)/[`fill_runs`](Self::fill_runs)
-    /// pull — i.e. at every batch boundary — so feedback decisions land
-    /// at deterministic, batch-size-pinned points in the request stream.
+    /// before every [`fill_runs`](Self::fill_runs) pull — i.e. at every
+    /// batch boundary — so feedback decisions land at deterministic,
+    /// batch-size-pinned points in the request stream.
     fn observe_wear(&mut self, _obs: &WearObservation) {}
 
     /// How this stream's position checkpoints. Streams with a
@@ -338,9 +349,8 @@ mod tests {
 
     #[test]
     fn zipf_fill_runs_matches_next_req() {
-        // The direct-coalescing override draws (address, kind) in the same
-        // order as the scalar path; flattening its runs must reproduce the
-        // scalar sequence bit for bit, mixed reads and writes included.
+        // Flattening the default's runs must reproduce the scalar sequence
+        // bit for bit, mixed reads and writes included.
         assert_runs_match_scalar(
             ZipfStream::new(256, 1.2, 0.7, 11),
             ZipfStream::new(256, 1.2, 0.7, 11),
@@ -351,7 +361,7 @@ mod tests {
     #[test]
     fn zipf_fill_runs_coalesces_hot_ranks() {
         // A skewed write-only stream over a small space must actually
-        // produce multi-request runs (the override exists to batch them);
+        // produce multi-request runs (the batched pumps rely on them);
         // the exact count is pinned by the seed.
         let mut s = ZipfStream::new(64, 1.3, 1.0, 7);
         let mut runs = Vec::new();

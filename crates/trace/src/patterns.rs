@@ -35,20 +35,6 @@ impl AddressStream for Uniform {
         MemReq { la, write }
     }
 
-    fn fill(&mut self, buf: &mut [MemReq]) -> usize {
-        // Same draws in the same order as `next_req`, with the space and
-        // ratio hoisted into registers for the whole block.
-        let space = self.space;
-        let write_ratio = self.write_ratio;
-        let rng = &mut self.rng;
-        for slot in buf.iter_mut() {
-            let la = rng.random_range(0..space);
-            let write = rng.random::<f64>() < write_ratio;
-            *slot = MemReq { la, write };
-        }
-        buf.len()
-    }
-
     fn space_lines(&self) -> u64 {
         self.space
     }
@@ -105,48 +91,6 @@ impl AddressStream for ZipfStream {
         let la = self.zipf.sample(&mut self.rng);
         let write = self.rng.random::<f64>() < self.write_ratio;
         MemReq { la, write }
-    }
-
-    fn fill(&mut self, buf: &mut [MemReq]) -> usize {
-        // Same draws in the same order as `next_req`, with the sampler and
-        // ratio hoisted for the whole block.
-        let zipf = &self.zipf;
-        let write_ratio = self.write_ratio;
-        let rng = &mut self.rng;
-        for slot in buf.iter_mut() {
-            let la = zipf.sample(rng);
-            let write = rng.random::<f64>() < write_ratio;
-            *slot = MemReq { la, write };
-        }
-        buf.len()
-    }
-
-    fn fill_runs(&mut self, runs: &mut Vec<crate::ReqRun>, scratch: &mut [MemReq]) -> u64 {
-        // Zipf's head ranks repeat back to back often enough that the
-        // batched drivers win real run lengths; coalesce directly off the
-        // sampler (same two draws per request, same order as `next_req`)
-        // instead of materializing the block and re-scanning it.
-        runs.clear();
-        let zipf = &self.zipf;
-        let write_ratio = self.write_ratio;
-        let rng = &mut self.rng;
-        let mut cur: Option<crate::ReqRun> = None;
-        for _ in 0..scratch.len() {
-            let la = zipf.sample(rng);
-            let write = rng.random::<f64>() < write_ratio;
-            match &mut cur {
-                Some(run) if run.la == la && run.write == write => run.len += 1,
-                _ => {
-                    if let Some(run) = cur.replace(crate::ReqRun { la, write, len: 1 }) {
-                        runs.push(run);
-                    }
-                }
-            }
-        }
-        if let Some(run) = cur {
-            runs.push(run);
-        }
-        scratch.len() as u64
     }
 
     fn space_lines(&self) -> u64 {
@@ -432,17 +376,6 @@ mod tests {
         // uniform share under s=1.0 (analytically ~45%).
         let frac = low as f64 / total as f64;
         assert!(frac > 0.35, "hot fraction {frac}");
-    }
-
-    #[test]
-    fn zipf_stream_fill_matches_next_req() {
-        let mut a = ZipfStream::new(256, 1.2, 0.4, 11);
-        let mut b = ZipfStream::new(256, 1.2, 0.4, 11);
-        let mut buf = [MemReq::read(0); 300];
-        a.fill(&mut buf);
-        for (i, slot) in buf.iter().enumerate() {
-            assert_eq!(*slot, b.next_req(), "request {i}");
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{AddressStream, CursorKind, MemReq, WearObservation};
+use crate::{AddressStream, CursorKind, MemReq, ReqRun, WearObservation};
 
 /// Weighted per-request interleaving of child streams.
 pub struct Mix {
@@ -114,6 +114,8 @@ pub struct Phased {
     remaining: u64,
     space: u64,
     label: String,
+    /// Reusable buffer for delegating `fill_runs` to children.
+    child_runs: Vec<ReqRun>,
 }
 
 impl Phased {
@@ -131,36 +133,45 @@ impl Phased {
             children.iter().map(|(_, c)| c.name()).collect::<Vec<_>>().join(">")
         );
         let remaining = children[0].0;
-        Self { children, current: 0, remaining, space, label }
+        Self { children, current: 0, remaining, space, label, child_runs: Vec::new() }
+    }
+
+    #[inline]
+    fn advance_phase(&mut self) {
+        if self.remaining == 0 {
+            self.current = (self.current + 1) % self.children.len();
+            self.remaining = self.children[self.current].0;
+        }
     }
 }
 
 impl AddressStream for Phased {
     fn next_req(&mut self) -> MemReq {
-        if self.remaining == 0 {
-            self.current = (self.current + 1) % self.children.len();
-            self.remaining = self.children[self.current].0;
-        }
+        self.advance_phase();
         self.remaining -= 1;
         self.children[self.current].1.next_req()
     }
 
-    fn fill(&mut self, buf: &mut [MemReq]) -> usize {
-        // Delegate whole in-phase runs to the child's own batched path, so
-        // a phased schedule costs one virtual dispatch per run instead of
-        // one per request.
-        let mut i = 0;
-        while i < buf.len() {
-            if self.remaining == 0 {
-                self.current = (self.current + 1) % self.children.len();
-                self.remaining = self.children[self.current].0;
-            }
-            let run = self.remaining.min((buf.len() - i) as u64) as usize;
-            self.children[self.current].1.fill(&mut buf[i..i + run]);
-            self.remaining -= run as u64;
-            i += run;
+    fn fill_runs(&mut self, runs: &mut Vec<ReqRun>, scratch: &mut [MemReq]) -> u64 {
+        // Delegate in-phase fragments to each child's `fill_runs`, so a
+        // phased schedule costs one virtual dispatch per fragment and a
+        // BPA phase still emits whole dwells.
+        runs.clear();
+        let budget = scratch.len() as u64;
+        let mut total = 0;
+        let mut child_runs = std::mem::take(&mut self.child_runs);
+        while total < budget {
+            self.advance_phase();
+            let take = self.remaining.min(budget - total) as usize;
+            let covered =
+                self.children[self.current].1.fill_runs(&mut child_runs, &mut scratch[..take]);
+            debug_assert_eq!(covered, take as u64);
+            runs.append(&mut child_runs);
+            self.remaining -= covered;
+            total += covered;
         }
-        buf.len()
+        self.child_runs = child_runs;
+        total
     }
 
     fn space_lines(&self) -> u64 {

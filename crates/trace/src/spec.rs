@@ -394,11 +394,9 @@ impl SpecModel {
     }
 }
 
-impl SpecModel {
-    /// Generate one request; shared by the scalar and batched paths so the
-    /// two are bit-identical by construction.
+impl AddressStream for SpecModel {
     #[inline]
-    fn gen_one(&mut self) -> MemReq {
+    fn next_req(&mut self) -> MemReq {
         if self.until_switch == 0 {
             self.cur_phase = (self.cur_phase + 1) % self.phases.len();
             self.until_switch = self.phase_len;
@@ -430,21 +428,6 @@ impl SpecModel {
         };
         let write = self.rng.random::<f64>() < phase.params.write_ratio;
         MemReq { la, write }
-    }
-}
-
-impl AddressStream for SpecModel {
-    #[inline]
-    fn next_req(&mut self) -> MemReq {
-        self.gen_one()
-    }
-
-    fn fill(&mut self, buf: &mut [MemReq]) -> usize {
-        // One statically-dispatched loop per block; `gen_one` inlines here.
-        for slot in buf.iter_mut() {
-            *slot = self.gen_one();
-        }
-        buf.len()
     }
 
     fn space_lines(&self) -> u64 {

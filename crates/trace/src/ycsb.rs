@@ -15,7 +15,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::zipf::Zipf;
-use crate::{AddressStream, CursorKind, MemReq, ReqRun};
+use crate::{AddressStream, CursorKind, MemReq};
 
 /// Zipf over a sliding hot window, rotating on a request clock.
 #[derive(Debug, Clone)]
@@ -72,9 +72,11 @@ impl Ycsb {
     pub fn hot_lines(&self) -> u64 {
         self.hot_lines
     }
+}
 
+impl AddressStream for Ycsb {
     #[inline]
-    fn gen_one(&mut self) -> MemReq {
+    fn next_req(&mut self) -> MemReq {
         if self.until_rotate == 0 {
             self.start = (self.start + self.drift) % self.space;
             self.until_rotate = self.rotate_every;
@@ -84,44 +86,6 @@ impl Ycsb {
         let la = (self.start + rank) % self.space;
         let write = self.rng.random::<f64>() < self.write_ratio;
         MemReq { la, write }
-    }
-}
-
-impl AddressStream for Ycsb {
-    #[inline]
-    fn next_req(&mut self) -> MemReq {
-        self.gen_one()
-    }
-
-    fn fill(&mut self, buf: &mut [MemReq]) -> usize {
-        for slot in buf.iter_mut() {
-            *slot = self.gen_one();
-        }
-        buf.len()
-    }
-
-    fn fill_runs(&mut self, runs: &mut Vec<ReqRun>, scratch: &mut [MemReq]) -> u64 {
-        // Zipf's head ranks repeat back to back, so coalesce directly off
-        // the sampler (same draws, same order as `next_req`) instead of
-        // materializing the block and re-scanning it.
-        runs.clear();
-        let mut cur: Option<ReqRun> = None;
-        for _ in 0..scratch.len() {
-            let req = self.gen_one();
-            match &mut cur {
-                Some(run) if run.la == req.la && run.write == req.write => run.len += 1,
-                _ => {
-                    if let Some(run) = cur.replace(ReqRun { la: req.la, write: req.write, len: 1 })
-                    {
-                        runs.push(run);
-                    }
-                }
-            }
-        }
-        if let Some(run) = cur {
-            runs.push(run);
-        }
-        scratch.len() as u64
     }
 
     fn space_lines(&self) -> u64 {

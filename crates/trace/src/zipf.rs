@@ -46,16 +46,6 @@ impl Zipf {
         self.s
     }
 
-    /// Draw `out.len()` ranks in one call — the batched counterpart of
-    /// [`sample`](Self::sample) for block-filling request generators. The
-    /// draws (and RNG consumption) are identical to calling `sample` once
-    /// per slot.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
-        for slot in out.iter_mut() {
-            *slot = self.sample(rng);
-        }
-    }
-
     /// Draw a rank in `0..n` (rank 0 is the most popular).
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {

@@ -1,14 +1,15 @@
-//! Batched `fill` must be bit-identical to scalar `next_req` for every
-//! generator — the block pump in the simulation driver relies on it.
+//! The batched stream path, `fill_runs`, must flatten to a sequence
+//! bit-identical to scalar `next_req` for every generator — the block
+//! pumps in the simulation driver rely on it.
 
 use sawl_trace::{
     AddressStream, Bpa, GcFeedback, Hotspot, Interleave, MemReq, Mix, Phased, Raa, ReqRun, SeqScan,
     Stride, Uniform, WearObservation, Ycsb, ZipfStream, ALL_BENCHMARKS,
 };
 
-/// Drain `total` requests scalar-wise from one stream and block-wise (with
-/// an awkward mix of block sizes) from an identically-constructed twin,
-/// then compare the full sequences.
+/// Drain `total` requests scalar-wise from one stream and run-wise through
+/// `fill_runs` (with an awkward mix of block sizes) from an
+/// identically-constructed twin, then compare the full flattened sequences.
 fn assert_fill_matches_scalar(
     mut scalar: Box<dyn AddressStream>,
     mut batched: Box<dyn AddressStream>,
@@ -17,16 +18,21 @@ fn assert_fill_matches_scalar(
 ) {
     let expected: Vec<MemReq> = (0..total).map(|_| scalar.next_req()).collect();
     let mut got: Vec<MemReq> = Vec::with_capacity(total);
-    let mut buf = vec![MemReq::read(0); 257];
+    let mut scratch = vec![MemReq::read(0); 257];
+    let mut runs: Vec<ReqRun> = Vec::new();
     // Odd sizes on purpose: misaligned with dwell times and phase lengths.
     for &chunk in [1usize, 7, 64, 257, 100].iter().cycle() {
         if got.len() >= total {
             break;
         }
         let n = chunk.min(total - got.len());
-        let filled = batched.fill(&mut buf[..n]);
-        assert_eq!(filled, n, "{label}: fill shorted a block");
-        got.extend_from_slice(&buf[..n]);
+        let filled = batched.fill_runs(&mut runs, &mut scratch[..n]);
+        assert_eq!(filled, n as u64, "{label}: fill_runs shorted a block");
+        assert_eq!(runs.iter().map(|r| r.len).sum::<u64>(), filled, "{label}: runs miscount");
+        for run in &runs {
+            assert!(run.len >= 1, "{label}: empty run");
+            got.extend((0..run.len).map(|_| MemReq { la: run.la, write: run.write }));
+        }
     }
     assert_eq!(got, expected, "{label}: batched sequence diverged from scalar");
 }

@@ -1,11 +1,12 @@
 //! Integration tests of the workload substrate against the wear-leveling
-//! stack: rate-mode multiprogramming, reuse-distance-driven expectations,
-//! and cross-validation of the CMT against the reuse-distance theory.
+//! stack: reuse-distance-driven expectations, cross-validation of the CMT
+//! against the reuse-distance theory, and footprint classes seen through
+//! the full stack.
 
 use sawl::algos::WearLeveler;
 use sawl::tiered::cmt::{Cmt, CmtLookup};
 use sawl::tiered::{Nwl, NwlConfig};
-use sawl::trace::{AddressStream, RateMode, ReuseTracker, SpecBenchmark};
+use sawl::trace::{AddressStream, ReuseTracker, SpecBenchmark};
 
 fn wearless(lines: u64) -> sawl::nvm::NvmDevice {
     sawl::nvm::NvmDevice::new(
@@ -35,70 +36,6 @@ fn reuse_tracker_predicts_cmt_hit_rate() {
         (predicted - measured).abs() < 0.06,
         "reuse prediction {predicted} vs measured {measured}"
     );
-}
-
-#[test]
-fn rate_mode_multiplies_cmt_pressure() {
-    // Eight private copies of the same benchmark each bring their own
-    // working set: against a fixed CMT, the aggregate footprint is 8x a
-    // single copy's, so the hit rate must drop.
-    let slice = 1u64 << 14;
-    let run = |cores: u64| {
-        let mut rm = RateMode::homogeneous(
-            slice * cores,
-            cores,
-            |sl, seed| SpecBenchmark::Gcc.stream(sl, seed),
-            3,
-        );
-        let mut nwl = Nwl::new(NwlConfig {
-            data_lines: slice * cores,
-            granularity: 4,
-            cmt_entries: 512,
-            swap_period: 1 << 20,
-            ..NwlConfig::default()
-        });
-        let mut dev = wearless(nwl.required_physical_lines());
-        for _ in 0..150_000 {
-            let r = rm.next_req();
-            if r.write {
-                nwl.write(r.la, &mut dev);
-            } else {
-                nwl.read(r.la, &mut dev);
-            }
-        }
-        nwl.mapping_stats().hit_rate()
-    };
-    let single = run(1);
-    let eight = run(8);
-    assert!(
-        single > eight + 0.05,
-        "rate mode should pressure the CMT: single {single}, eight {eight}"
-    );
-}
-
-#[test]
-fn rate_mode_spreads_wear_across_slices() {
-    let space = 1 << 14;
-    let mut rm =
-        RateMode::homogeneous(space, 8, |slice, seed| SpecBenchmark::Lbm.stream(slice, seed), 4);
-    let mut wl = sawl::algos::NoWl::new(space);
-    let mut dev = wearless(space);
-    for _ in 0..200_000 {
-        let r = rm.next_req();
-        if r.write {
-            wl.write(r.la, &mut dev);
-        }
-    }
-    // Every slice must have received wear.
-    let slice = space / 8;
-    for core in 0..8u64 {
-        let writes: u64 = dev.write_counts()
-            [(core * slice) as usize..((core + 1) * slice) as usize]
-            .iter()
-            .map(|&c| u64::from(c))
-            .sum();
-        assert!(writes > 0, "core {core}'s slice untouched");
-    }
 }
 
 #[test]
