@@ -112,11 +112,10 @@ pub trait WearLeveler {
     /// repeats. A scheme that certifies quiet spans therefore batches here
     /// and in the timed driver by construction, without overriding this.
     ///
-    /// Security Refresh and TLSR are the measured exception: their
-    /// overrides fold the trigger write into the window (one translation
-    /// and one device run per refresh period), which the scalar-first
-    /// default cannot; the BPA lifetime probe ran TLSR measurably slower
-    /// through the default (DESIGN.md §10).
+    /// Security Refresh and TLSR are the exception: their overrides serve
+    /// whole refresh rounds as chunks the device proves failure-free
+    /// (demand runs, region sweeps and single swap writes), which the
+    /// scalar-first default cannot (DESIGN.md §10).
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
         let start = dev.wear().demand_writes;
         let mut left = n;

@@ -18,10 +18,34 @@
 //! `1/inner + 1/32` (each step costs 2 writes but fires for half the
 //! addresses), i.e. 15.6% / 9.4% / 6.25% / 4.7% for inner periods
 //! 8/16/32/64 — exactly the percentages on the paper's Fig. 3 legend.
+//!
+//! ## Serving runs in chunks
+//!
+//! [`SrInstance`] has a closed form for `k` consecutive steps: the steps
+//! left until `map(a)` changes, the steps left until the round wraps (the
+//! only step that draws a key), and the slots those steps swap. Step `p`
+//! swaps exactly when it is the smaller address of its pair, so a whole
+//! round with `k0 != k1` writes every slot once: one range sweep.
+//!
+//! Both schemes' `write_run` therefore serve a run as *chunks*. A chunk
+//! reaches up to and including the next RNG draw (a round wrap at either
+//! level) and, for TLSR, ends before the first outer step that would swap
+//! into the target's own intermediate region, which includes any outer
+//! remap of the target. Within a chunk only the target's inner (or
+//! single-level) mapping can change, at most once, so its demand writes
+//! are one or two runs. A whole inner round is one region sweep; partial
+//! rounds and outer swaps are single overhead writes. The device applies
+//! the chunk only if it proves no touched line fails on the way
+//! ([`NvmDevice::try_write_chunk`]), which keeps death ordering exact. A
+//! refused chunk, and every write on a fault-armed device, is served one
+//! refresh window at a time instead: the stretch up to and including the
+//! next step trigger is one translation and one device run, followed by
+//! the scalar step. The RNG stream, and so every checkpoint byte, matches
+//! the scalar `write` loop.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sawl_nvm::{La, NvmDevice, Pa};
+use sawl_nvm::{La, NvmDevice, Pa, WriteChunk, WriteOutcome};
 
 use crate::region::RegionGeometry;
 use crate::WearLeveler;
@@ -78,17 +102,64 @@ impl SrInstance {
         } else {
             None
         };
-        self.rp += 1;
+        self.advance(1, rng);
+        result
+    }
+
+    /// Steps left in this round, counting the wrap step that ends it. The
+    /// wrap is the only step that draws from the RNG, and it never swaps:
+    /// its pointer is the largest address, so its partner lies behind it.
+    #[inline]
+    pub fn steps_to_wrap(&self) -> u64 {
+        self.size - self.rp
+    }
+
+    /// When `map(a)` next changes: the 1-based index of the step after
+    /// which it has, and the new mapping. `None` when it holds through the
+    /// round's wrap. A wrap changes no mapping, since every address is then
+    /// refreshed and the retiring key hands over to the current one.
+    #[inline]
+    pub fn next_remap(&self, a: u64) -> Option<(u64, u64)> {
+        let d = self.k0 ^ self.k1;
+        if d == 0 || self.refreshed(a) {
+            return None;
+        }
+        Some(((a ^ d).min(a) - self.rp + 1, a ^ self.k1))
+    }
+
+    /// The swaps of the next `k` steps (`k <= steps_to_wrap()`), in step
+    /// order, as `(step index from 1, slot, slot)`. Step `p` swaps exactly
+    /// when it is the smaller address of its pair, so within one round
+    /// every slot is written at most once.
+    pub fn swaps(&self, k: u64) -> impl Iterator<Item = (u64, u64, u64)> {
+        debug_assert!(k <= self.steps_to_wrap());
+        let (rp, k0, k1) = (self.rp, self.k0, self.k1);
+        let k = if k0 == k1 { 0 } else { k };
+        (rp..rp + k).filter(move |&p| p ^ k0 ^ k1 > p).map(move |p| (p - rp + 1, p ^ k0, p ^ k1))
+    }
+
+    /// Whether the next `k` steps are a whole round that swaps, so their
+    /// swaps write every slot of the instance exactly once.
+    #[inline]
+    pub fn swaps_every_slot(&self, k: u64) -> bool {
+        self.rp == 0 && k == self.size && self.k0 != self.k1
+    }
+
+    /// Take `k <= steps_to_wrap()` steps whose swaps the caller has
+    /// already written. Draws a key only if the last of them wraps.
+    pub fn advance(&mut self, k: u64, rng: &mut impl Rng) {
+        debug_assert!(k <= self.steps_to_wrap());
+        self.rp += k;
         if self.rp == self.size {
             // Round complete: the old key retires, draw a fresh one.
             self.k0 = self.k1;
             self.k1 = rng.random::<u64>() & self.key_mask;
             self.rp = 0;
         }
-        result
     }
 
     /// Size of the instance's address space.
+    #[inline]
     pub fn size(&self) -> u64 {
         self.size
     }
@@ -129,6 +200,92 @@ impl SrInstance {
     }
 }
 
+/// Most steps of a partial round one chunk takes at either level, which
+/// bounds the single overhead writes a chunk gathers.
+const CHUNK_STEPS: u64 = 256;
+
+/// The device writes of one chunk, gathered before the device proves them
+/// failure-free. Kept on the scheme so the buffers are reused.
+#[derive(Debug, Clone, Default)]
+struct ChunkBuf {
+    demand: Vec<(Pa, u64)>,
+    sweeps: Vec<(Pa, u64)>,
+    wl: Vec<Pa>,
+}
+
+impl ChunkBuf {
+    fn clear(&mut self) {
+        self.demand.clear();
+        self.sweeps.clear();
+        self.wl.clear();
+    }
+
+    /// The demand writes of a chunk of `w` writes whose demand line `pa`
+    /// moves to `new_pa` after write `j` when `remap` is `Some((j, new_pa))`.
+    fn push_demand(&mut self, pa: Pa, w: u64, remap: Option<(u64, Pa)>) {
+        match remap {
+            Some((j, new_pa)) => {
+                self.demand.push((pa, j));
+                if w > j {
+                    self.demand.push((new_pa, w - j));
+                }
+            }
+            None => self.demand.push((pa, w)),
+        }
+    }
+
+    fn apply(&self, dev: &mut NvmDevice) -> bool {
+        dev.try_write_chunk(&WriteChunk {
+            demand: &self.demand,
+            sweeps: &self.sweeps,
+            wl: &self.wl,
+        })
+    }
+}
+
+/// A refresh scheme that serves runs as chunks, falling back to one
+/// refresh window at a time.
+trait Chunked {
+    /// Serve up to `n` writes to `la` as one chunk the device proves
+    /// failure-free: `Ok` with the writes served, or `Err` with the
+    /// chunk's length (0 when it is empty) when nothing was served.
+    fn try_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64>;
+
+    /// Serve at most `n` writes to `la` up to and including the next step
+    /// trigger: one translation and one device run, then the scalar step.
+    /// Returns the writes applied, and `false` when the run must stop:
+    /// the device died, or it applied less than the window.
+    fn window(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> (u64, bool);
+}
+
+/// `write_run` of a [`Chunked`] scheme: chunks first; a stretch the device
+/// refuses, and every write on a fault-armed device, goes window by window.
+fn write_run_chunked(s: &mut impl Chunked, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
+    let mut done = 0;
+    while done < n {
+        let stretch = if dev.fault_plan_armed() {
+            n - done
+        } else {
+            match s.try_chunk(la, n - done, dev) {
+                Ok(w) => {
+                    done += w;
+                    continue;
+                }
+                Err(w) => w.max(1),
+            }
+        };
+        let end = done + stretch;
+        while done < end {
+            let (applied, go_on) = s.window(la, end - done, dev);
+            done += applied;
+            if !go_on {
+                return done;
+            }
+        }
+    }
+    done
+}
+
 /// Single-level Security Refresh as a standalone wear leveler (one SR
 /// region spanning the whole device). Also the building block reused by the
 /// tiered architecture to wear-level the translation lines.
@@ -139,6 +296,7 @@ pub struct SecurityRefresh {
     writes: u64,
     rng: SmallRng,
     refresh_steps: u64,
+    buf: ChunkBuf,
 }
 
 impl SecurityRefresh {
@@ -148,7 +306,7 @@ impl SecurityRefresh {
         assert!(period > 0);
         let mut rng = SmallRng::seed_from_u64(seed);
         let sr = SrInstance::new(lines, lines - 1, &mut rng);
-        Self { sr, period, writes: 0, rng, refresh_steps: 0 }
+        Self { sr, period, writes: 0, rng, refresh_steps: 0, buf: ChunkBuf::default() }
     }
 
     /// Refresh steps executed (including pair-skipped ones).
@@ -186,6 +344,57 @@ impl SecurityRefresh {
     }
 }
 
+impl Chunked for SecurityRefresh {
+    /// A chunk runs up to and including the round's wrap (the next RNG
+    /// draw), and takes at most [`CHUNK_STEPS`] steps of a partial round.
+    /// A remap of `la` inside the chunk splits its demand into two runs.
+    fn try_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64> {
+        let (p, wc) = (self.period, self.writes);
+        let wrap = self.sr.steps_to_wrap() * p - wc;
+        let mut w = n.min(wrap);
+        if !(self.sr.steps_to_wrap() == self.sr.size() && w == wrap) {
+            w = w.min((CHUNK_STEPS + 1) * p - wc - 1);
+        }
+        let k = (wc + w) / p;
+        let buf = &mut self.buf;
+        buf.clear();
+        let remap = self.sr.next_remap(la).filter(|&(c, _)| c <= k).map(|(c, pa)| (c * p - wc, pa));
+        buf.push_demand(self.sr.map(la), w, remap);
+        if self.sr.swaps_every_slot(k) {
+            buf.sweeps.push((0, self.sr.size()));
+        } else {
+            for (_, s1, s2) in self.sr.swaps(k) {
+                buf.wl.extend([s1, s2]);
+            }
+        }
+        if !buf.apply(dev) {
+            return Err(w);
+        }
+        self.writes = (wc + w) % p;
+        self.refresh_steps += k;
+        self.sr.advance(k, &mut self.rng);
+        Ok(w)
+    }
+
+    fn window(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> (u64, bool) {
+        let window = n.min(self.period - self.writes);
+        let (applied, _) = dev.write_run(self.sr.map(la), window);
+        self.writes += applied;
+        if applied < window {
+            return (applied, false);
+        }
+        if self.writes >= self.period {
+            self.writes = 0;
+            self.refresh_steps += 1;
+            if let Some((s1, s2)) = self.sr.step(&mut self.rng) {
+                dev.write_wl(s1);
+                dev.write_wl(s2);
+            }
+        }
+        (applied, !dev.is_dead())
+    }
+}
+
 impl WearLeveler for SecurityRefresh {
     fn name(&self) -> &'static str {
         "sr"
@@ -202,7 +411,10 @@ impl WearLeveler for SecurityRefresh {
 
     fn write(&mut self, la: La, dev: &mut NvmDevice) -> Pa {
         let pa = self.sr.map(la);
-        dev.write(pa);
+        if dev.write(pa) == WriteOutcome::PowerLost {
+            // A dropped write is not a write: the trigger must not move.
+            return pa;
+        }
         self.writes += 1;
         if self.writes >= self.period {
             self.writes = 0;
@@ -227,33 +439,7 @@ impl WearLeveler for SecurityRefresh {
     }
 
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
-        // The SR mapping only moves in `step`, every `period` writes: the
-        // whole window up to (and including) the step trigger shares one
-        // translation, so it collapses into a single device run. (The
-        // default quiet-span loop would serve the trigger write scalar.)
-        let mut done = 0;
-        while done < n {
-            let pa = self.sr.map(la);
-            let window = (n - done).min(self.period - self.writes);
-            let (applied, _) = dev.write_run(pa, window);
-            self.writes += applied;
-            done += applied;
-            if applied < window {
-                break;
-            }
-            if self.writes >= self.period {
-                self.writes = 0;
-                self.refresh_steps += 1;
-                if let Some((s1, s2)) = self.sr.step(&mut self.rng) {
-                    dev.write_wl(s1);
-                    dev.write_wl(s2);
-                }
-            }
-            if dev.is_dead() {
-                break;
-            }
-        }
-        done
+        write_run_chunked(self, la, n, dev)
     }
 
     fn onchip_bits(&self) -> u64 {
@@ -277,6 +463,7 @@ pub struct Tlsr {
     outer_writes: u64,
     outer_period: u64,
     rng: SmallRng,
+    buf: ChunkBuf,
 }
 
 impl Tlsr {
@@ -307,6 +494,7 @@ impl Tlsr {
             outer_writes: 0,
             outer_period,
             rng,
+            buf: ChunkBuf::default(),
         }
     }
 
@@ -323,6 +511,20 @@ impl Tlsr {
     /// (`1/inner + 1/outer`), matching the paper's legend percentages.
     pub fn nominal_overhead(&self) -> f64 {
         1.0 / self.inner_period as f64 + 1.0 / self.outer_period as f64
+    }
+
+    /// Push the physical lines the next `k` outer steps swap, stopping at
+    /// the first step that swaps into intermediate `region` and returning
+    /// its index (from 1). The other regions' inner maps stay fixed while
+    /// a chunk serves `region`, so these lines are final.
+    fn gather_outer_swaps(&self, k: u64, region: u64, wl: &mut Vec<Pa>) -> Option<u64> {
+        for (s, i1, i2) in self.outer.swaps(k) {
+            if self.geo.region_of(i1) == region || self.geo.region_of(i2) == region {
+                return Some(s);
+            }
+            wl.extend([self.inner_map(i1), self.inner_map(i2)]);
+        }
+        None
     }
 
     /// Checkpoint both SR levels, all trigger counters, and the RNG.
@@ -377,6 +579,103 @@ impl Tlsr {
     }
 }
 
+impl Chunked for Tlsr {
+    /// A chunk runs up to and including the next RNG draw (a round wrap
+    /// at either level), and ends before the first outer step that would
+    /// swap into `la`'s intermediate region (which includes any outer
+    /// remap of `la`). Each level takes at most [`CHUNK_STEPS`] steps of a
+    /// partial round; a whole inner round is one sweep of the region. A
+    /// remap of `la`'s offset inside the chunk splits its demand into two
+    /// runs.
+    fn try_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64> {
+        let (ip, op) = (self.inner_period, self.outer_period);
+        let intermediate = self.outer.map(la);
+        let region = self.geo.region_of(intermediate);
+        let iw = u64::from(self.inner_writes[region as usize]);
+        let ow = self.outer_writes;
+        let inner = &self.inner[region as usize];
+        let inner_wrap = inner.steps_to_wrap() * ip - iw;
+        let mut w = n
+            .min(inner_wrap)
+            .min(self.outer.steps_to_wrap() * op - ow)
+            .min((CHUNK_STEPS + 1) * op - ow - 1);
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        if let Some(s) = self.gather_outer_swaps((ow + w) / op, region, &mut buf.wl) {
+            w = s * op - ow - 1;
+        }
+        if !(inner.steps_to_wrap() == inner.size() && w == inner_wrap) {
+            let capped = w.min((CHUNK_STEPS + 1) * ip - iw - 1);
+            if capped < w {
+                // Only regions of more than `CHUNK_STEPS + 1` lines get here.
+                w = capped;
+                buf.wl.clear();
+                self.gather_outer_swaps((ow + w) / op, region, &mut buf.wl);
+            }
+        }
+        if w == 0 {
+            self.buf = buf;
+            return Err(0);
+        }
+        let (ki, ko) = ((iw + w) / ip, (ow + w) / op);
+        let off = self.geo.offset_of(intermediate);
+        let remap = inner
+            .next_remap(off)
+            .filter(|&(c, _)| c <= ki)
+            .map(|(c, o)| (c * ip - iw, self.geo.combine(region, o)));
+        buf.push_demand(self.geo.combine(region, inner.map(off)), w, remap);
+        if inner.swaps_every_slot(ki) {
+            buf.sweeps.push((self.geo.combine(region, 0), inner.size()));
+        } else {
+            for (_, o1, o2) in inner.swaps(ki) {
+                buf.wl.extend([self.geo.combine(region, o1), self.geo.combine(region, o2)]);
+            }
+        }
+        let applied = buf.apply(dev);
+        self.buf = buf;
+        if !applied {
+            return Err(w);
+        }
+        // At most the chunk's last write draws, inner level first.
+        self.inner[region as usize].advance(ki, &mut self.rng);
+        self.inner_writes[region as usize] = ((iw + w) % ip) as u32;
+        self.outer.advance(ko, &mut self.rng);
+        self.outer_writes = (ow + w) % op;
+        Ok(w)
+    }
+
+    fn window(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> (u64, bool) {
+        let intermediate = self.outer.map(la);
+        let region = self.geo.region_of(intermediate) as usize;
+        let off = self.geo.offset_of(intermediate);
+        let pa = self.geo.combine(region as u64, self.inner[region].map(off));
+        let inner_gap = self.inner_period - u64::from(self.inner_writes[region]);
+        let outer_gap = self.outer_period - self.outer_writes;
+        let window = n.min(inner_gap.min(outer_gap));
+        let (applied, _) = dev.write_run(pa, window);
+        self.inner_writes[region] += applied as u32;
+        self.outer_writes += applied;
+        if applied < window {
+            return (applied, false);
+        }
+        if u64::from(self.inner_writes[region]) >= self.inner_period {
+            self.inner_writes[region] = 0;
+            if let Some((o1, o2)) = self.inner[region].step(&mut self.rng) {
+                dev.write_wl(self.geo.combine(region as u64, o1));
+                dev.write_wl(self.geo.combine(region as u64, o2));
+            }
+        }
+        if self.outer_writes >= self.outer_period {
+            self.outer_writes = 0;
+            if let Some((i1, i2)) = self.outer.step(&mut self.rng) {
+                dev.write_wl(self.inner_map(i1));
+                dev.write_wl(self.inner_map(i2));
+            }
+        }
+        (applied, !dev.is_dead())
+    }
+}
+
 impl WearLeveler for Tlsr {
     fn name(&self) -> &'static str {
         "tlsr"
@@ -395,7 +694,10 @@ impl WearLeveler for Tlsr {
         let intermediate = self.outer.map(la);
         let region = self.geo.region_of(intermediate) as usize;
         let pa = self.inner_map(intermediate);
-        dev.write(pa);
+        if dev.write(pa) == WriteOutcome::PowerLost {
+            // A dropped write is not a write: neither trigger moves.
+            return pa;
+        }
 
         // Inner level: per-region counter.
         self.inner_writes[region] += 1;
@@ -439,46 +741,7 @@ impl WearLeveler for Tlsr {
     }
 
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
-        // Both SR levels move only on their periodic steps; between steps
-        // the translation of `la` is frozen. The whole window up to (and
-        // including) the nearer of the two step triggers shares one
-        // translation — one map plus one device run per window, instead of
-        // a scalar write (two full translations) at the head of each.
-        let mut done = 0;
-        while done < n {
-            let intermediate = self.outer.map(la);
-            let region = self.geo.region_of(intermediate) as usize;
-            let off = self.geo.offset_of(intermediate);
-            let pa = self.geo.combine(region as u64, self.inner[region].map(off));
-            let inner_gap = self.inner_period - u64::from(self.inner_writes[region]);
-            let outer_gap = self.outer_period - self.outer_writes;
-            let window = (n - done).min(inner_gap.min(outer_gap));
-            let (applied, _) = dev.write_run(pa, window);
-            self.inner_writes[region] += applied as u32;
-            self.outer_writes += applied;
-            done += applied;
-            if applied < window {
-                break;
-            }
-            if u64::from(self.inner_writes[region]) >= self.inner_period {
-                self.inner_writes[region] = 0;
-                if let Some((o1, o2)) = self.inner[region].step(&mut self.rng) {
-                    dev.write_wl(self.geo.combine(region as u64, o1));
-                    dev.write_wl(self.geo.combine(region as u64, o2));
-                }
-            }
-            if self.outer_writes >= self.outer_period {
-                self.outer_writes = 0;
-                if let Some((i1, i2)) = self.outer.step(&mut self.rng) {
-                    dev.write_wl(self.inner_map(i1));
-                    dev.write_wl(self.inner_map(i2));
-                }
-            }
-            if dev.is_dead() {
-                break;
-            }
-        }
-        done
+        write_run_chunked(self, la, n, dev)
     }
 
     fn onchip_bits(&self) -> u64 {

@@ -66,6 +66,33 @@ impl WearCounters {
     }
 }
 
+/// Writes that a scheme serves together as one chunk, all or nothing (see
+/// [`NvmDevice::try_write_chunk`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WriteChunk<'a> {
+    /// Demand runs `(pa, n)`: `n` demand writes to line `pa`.
+    pub demand: &'a [(Pa, u64)],
+    /// Overhead sweeps `(start, n)`: one overhead write to each line of
+    /// `[start, start + n)`.
+    pub sweeps: &'a [(Pa, u64)],
+    /// Single overhead writes.
+    pub wl: &'a [Pa],
+}
+
+impl WriteChunk<'_> {
+    /// Whether no line takes more than one of the chunk's overhead writes.
+    fn overhead_lines_distinct(&self) -> bool {
+        let mut lines: Vec<Pa> = self.wl.to_vec();
+        for &(start, n) in self.sweeps {
+            lines.extend(start..start + n);
+        }
+        let total = lines.len();
+        lines.sort_unstable();
+        lines.dedup();
+        lines.len() == total
+    }
+}
+
 /// An NVM device instance.
 ///
 /// The device does not store data contents — only wear. Correctness of data
@@ -488,6 +515,70 @@ impl NvmDevice {
             }
         }
         (applied, last)
+    }
+
+    /// Apply a whole [`WriteChunk`] if no line it touches reaches its
+    /// limit on the way, and report whether it did. A refused chunk
+    /// changes nothing; the caller serves those writes some other way.
+    ///
+    /// Without a failure, a line's end state depends only on how many
+    /// writes it took, so an accepted chunk leaves the device exactly as
+    /// its writes served one at a time, in any order, would. Death
+    /// ordering stays exact because a chunk that could fail a line is
+    /// never taken in bulk. The chunk's overhead lines (sweeps and single
+    /// writes together) must be distinct, so a line takes at most one
+    /// overhead write; a demand line may repeat, and the proof counts one
+    /// overhead write on top of its demand without looking it up (a chunk
+    /// whose demand line would end exactly one write short of failing is
+    /// refused even when no overhead write lands on it). The device
+    /// refuses every chunk while it is dead, unpowered or has a fault
+    /// plan armed.
+    pub fn try_write_chunk(&mut self, c: &WriteChunk<'_>) -> bool {
+        if self.dead || !self.powered || self.fault.is_some() {
+            return false;
+        }
+        debug_assert!(c.overhead_lines_distinct(), "chunk names an overhead line twice");
+        if !c.sweeps.iter().all(|&(start, n)| self.wear.range_clear_of_failures(start, n))
+            || !self.wear.lines_clear_of_failures(c.wl)
+        {
+            return false;
+        }
+        for &(pa, _) in c.demand {
+            let demand: u64 = c.demand.iter().filter(|r| r.0 == pa).map(|r| r.1).sum();
+            if self.wear.remaining(pa) <= demand + 1 {
+                return false;
+            }
+        }
+        if self.probe.is_some() {
+            // The ordinary paths keep the probe current; none can fail.
+            for &(pa, n) in c.demand {
+                self.write_run_raw(pa, n);
+            }
+            for &(start, n) in c.sweeps {
+                self.write_wl_range(start, n);
+            }
+            for &pa in c.wl {
+                self.write_wl(pa);
+            }
+            return true;
+        }
+        // Overhead first, so a demand line that is also an overhead line
+        // still has more than its demand left when its run is taken.
+        let mut overhead = c.wl.len() as u64;
+        for &(start, n) in c.sweeps {
+            self.wear.countdown_range_unchecked(start, n);
+            overhead += n;
+        }
+        self.wear.countdown_lines_unchecked(c.wl);
+        let mut demand = 0;
+        for &(pa, n) in c.demand {
+            self.wear.sub_remaining(pa, n);
+            demand += n;
+        }
+        self.counters.total_writes += demand + overhead;
+        self.counters.demand_writes += demand;
+        self.counters.overhead_writes += overhead;
+        true
     }
 
     /// Range path with fault injection or the wear probe active: scalar

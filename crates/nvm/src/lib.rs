@@ -42,7 +42,7 @@ pub mod variation;
 pub mod wear;
 
 pub use config::{NvmConfig, NvmConfigBuilder, NvmConfigError};
-pub use device::{NvmDevice, WearCounters, WearSnapshot, WriteOutcome};
+pub use device::{NvmDevice, WearCounters, WearSnapshot, WriteChunk, WriteOutcome};
 pub use fault::{FaultPlan, FaultPlanError};
 pub use stats::{FaultCounters, WearStats};
 pub use variation::EnduranceModel;

@@ -224,10 +224,32 @@ impl WearState {
     /// without failing.
     #[inline]
     pub fn range_clear_of_failures(&self, start: Pa, n: u64) -> bool {
+        // A minimum instead of a short-circuiting `all`, so the scan
+        // vectorizes.
         let (s, n) = (start as usize, n as usize);
         match &self.remaining {
-            Countdown::U16(v) => v[s..s + n].iter().all(|&r| r > 1),
-            Countdown::U32(v) => v[s..s + n].iter().all(|&r| r > 1),
+            Countdown::U16(v) => v[s..s + n].iter().min().is_none_or(|&r| r > 1),
+            Countdown::U32(v) => v[s..s + n].iter().min().is_none_or(|&r| r > 1),
+        }
+    }
+
+    /// Whether every listed line can take one more write without failing.
+    #[inline]
+    pub fn lines_clear_of_failures(&self, pas: &[Pa]) -> bool {
+        match &self.remaining {
+            Countdown::U16(v) => pas.iter().all(|&pa| v[pa as usize] > 1),
+            Countdown::U32(v) => pas.iter().all(|&pa| v[pa as usize] > 1),
+        }
+    }
+
+    /// Apply one write's countdown to every listed line, all known
+    /// failure-free (see
+    /// [`lines_clear_of_failures`](Self::lines_clear_of_failures)).
+    #[inline]
+    pub fn countdown_lines_unchecked(&mut self, pas: &[Pa]) {
+        match &mut self.remaining {
+            Countdown::U16(v) => pas.iter().for_each(|&pa| v[pa as usize] -= 1),
+            Countdown::U32(v) => pas.iter().for_each(|&pa| v[pa as usize] -= 1),
         }
     }
 

@@ -422,6 +422,35 @@ fn over_long_request_line_gets_a_typed_error_and_the_daemon_keeps_serving() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn degenerate_scheme_specs_get_typed_errors_and_the_daemon_keeps_serving() {
+    let dir = unique_dir("degenerate");
+    let fx = Fixture::start(ServeConfig::new(&dir));
+
+    // Specs whose scheme constructors would panic on the thread serving
+    // the connection; the daemon must answer each with a typed error.
+    let schemes = [
+        SchemeSpec::SingleSr { period: 0 },
+        SchemeSpec::Tlsr { region_lines: 64, inner_period: 0, outer_period: 32 },
+        SchemeSpec::Tlsr { region_lines: 48, inner_period: 8, outer_period: 32 },
+        SchemeSpec::PcmS { region_lines: 4, period: 0 },
+        SchemeSpec::SegmentSwap { segment_lines: 64, swap_period: 0 },
+    ];
+    for (i, scheme) in schemes.into_iter().enumerate() {
+        let spec = LifetimeExperiment { scheme, ..small_exp("serve/degenerate", 20_000) };
+        let resp = call(fx.addr, &Request::Submit { tenant: format!("bad{i}"), spec });
+        assert!(
+            matches!(&resp, Response::Error { message } if message.contains("period")
+                || message.contains("region_lines")),
+            "{resp:?}"
+        );
+        assert!(matches!(call(fx.addr, &Request::Ping), Response::Pong));
+    }
+
+    fx.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Peak resident set of this process, from /proc (Linux only).
 #[cfg(target_os = "linux")]
 fn peak_rss_bytes() -> Option<u64> {

@@ -160,6 +160,7 @@ impl SchemeSpec {
         data_lines: u64,
         seed: u64,
     ) -> Result<SchemeInstance, DriverError> {
+        self.validate(data_lines)?;
         Ok(match *self {
             Self::Baseline => SchemeInstance::Baseline(NoWl::new(data_lines)),
             Self::Ideal => SchemeInstance::Ideal(Ideal::new(data_lines)),
@@ -167,12 +168,6 @@ impl SchemeSpec {
                 SegmentSwap::new(data_lines, segment_lines, swap_period),
             ),
             Self::Rbsg { regions, region_lines, period } => {
-                if regions * region_lines != data_lines {
-                    return Err(DriverError::Spec(format!(
-                        "RBSG geometry must cover the logical space: {regions} regions × \
-                         {region_lines} lines != {data_lines} data lines"
-                    )));
-                }
                 SchemeInstance::Rbsg(StartGap::new(regions, region_lines, period))
             }
             Self::SingleSr { period } => SchemeInstance::SingleSr(SecurityRefresh::new(
@@ -216,6 +211,69 @@ impl SchemeSpec {
                     .map_err(DriverError::Config)?,
             ),
         })
+    }
+
+    /// Reject the parameters a scheme constructor would panic on: zero
+    /// periods, region splits that are not powers of two within the
+    /// logical space, RBSG geometry that does not cover it, and a TLSR
+    /// inner period past its 32-bit per-region counters.
+    fn validate(&self, data_lines: u64) -> Result<(), DriverError> {
+        let name = self.name();
+        let period = |field: &str, value: u64| {
+            if value == 0 {
+                return Err(DriverError::Spec(format!("{name}: {field} must be non-zero")));
+            }
+            Ok(())
+        };
+        let regions = |field: &str, region_lines: u64| {
+            if !data_lines.is_power_of_two()
+                || !region_lines.is_power_of_two()
+                || region_lines > data_lines
+            {
+                return Err(DriverError::Spec(format!(
+                    "{name}: {field} {region_lines} must be a power of two within the \
+                     {data_lines} data lines (itself a power of two)"
+                )));
+            }
+            Ok(())
+        };
+        match *self {
+            Self::Baseline | Self::Ideal | Self::Nwl { .. } | Self::Sawl(_) => Ok(()),
+            Self::SegmentSwap { segment_lines, swap_period } => {
+                period("swap_period", swap_period)?;
+                regions("segment_lines", segment_lines)
+            }
+            Self::Rbsg { regions, region_lines, period: p } => {
+                period("period", p)?;
+                if regions.checked_mul(region_lines) != Some(data_lines) {
+                    return Err(DriverError::Spec(format!(
+                        "RBSG geometry must cover the logical space: {regions} regions × \
+                         {region_lines} lines != {data_lines} data lines"
+                    )));
+                }
+                Ok(())
+            }
+            Self::SingleSr { period: p } => {
+                period("period", p)?;
+                regions("data_lines", data_lines)
+            }
+            Self::Tlsr { region_lines, inner_period, outer_period } => {
+                period("inner_period", inner_period)?;
+                period("outer_period", outer_period)?;
+                if inner_period > u64::from(u32::MAX) {
+                    return Err(DriverError::Spec(format!(
+                        "{name}: inner_period {inner_period} exceeds the 32-bit region \
+                         counters (at most {})",
+                        u32::MAX
+                    )));
+                }
+                regions("region_lines", region_lines)
+            }
+            Self::PcmS { region_lines, period: p } | Self::Mwsr { region_lines, period: p } => {
+                period("period", p)?;
+                regions("region_lines", region_lines)
+            }
+        }
     }
 
     /// Physical lines the device must provide for this scheme over
@@ -779,6 +837,40 @@ mod tests {
         let err = bad.try_instantiate(1 << 10, 1).unwrap_err();
         assert!(matches!(err, DriverError::Config(_)), "{err:?}");
         assert!(err.to_string().contains("powers of two"), "{err}");
+
+        // Specs whose constructors would panic come back typed, naming
+        // the offending field.
+        for (spec, field) in [
+            (SchemeSpec::SingleSr { period: 0 }, "period"),
+            (
+                SchemeSpec::Tlsr { region_lines: 64, inner_period: 0, outer_period: 32 },
+                "inner_period",
+            ),
+            (
+                SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 0 },
+                "outer_period",
+            ),
+            (
+                SchemeSpec::Tlsr { region_lines: 48, inner_period: 8, outer_period: 32 },
+                "region_lines",
+            ),
+            (
+                SchemeSpec::Tlsr {
+                    region_lines: 64,
+                    inner_period: u64::from(u32::MAX) + 1,
+                    outer_period: 32,
+                },
+                "inner_period",
+            ),
+            (SchemeSpec::PcmS { region_lines: 16, period: 0 }, "period"),
+            (SchemeSpec::Mwsr { region_lines: 16, period: 0 }, "period"),
+            (SchemeSpec::Rbsg { regions: 4, region_lines: 256, period: 0 }, "period"),
+            (SchemeSpec::SegmentSwap { segment_lines: 64, swap_period: 0 }, "swap_period"),
+        ] {
+            let err = spec.try_instantiate(1 << 10, 1).unwrap_err();
+            assert!(matches!(err, DriverError::Spec(_)), "{spec:?}: {err:?}");
+            assert!(err.to_string().contains(field), "{spec:?}: {err}");
+        }
     }
 
     #[test]

@@ -285,3 +285,35 @@ fn fault_armed_timed_runs_observe_every_served_write() {
         }
     }
 }
+
+/// A write that a power loss dropped must not count toward a refresh
+/// trigger, whichever path serves it: timed runs serve fault-armed writes
+/// one `write` at a time, untimed runs batch through `write_run`, and the
+/// two must end in the same report.
+#[test]
+fn refresh_schemes_count_only_applied_writes_timed_and_untimed() {
+    for scheme in [
+        SchemeSpec::SingleSr { period: 32 },
+        SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 32 },
+    ] {
+        let exp = |timing| LifetimeExperiment {
+            id: format!("fault/refresh-power/{}", scheme.name()),
+            scheme: scheme.clone(),
+            workload: WorkloadSpec::Bpa { writes_per_target: 512 },
+            data_lines: 1 << 12,
+            device: DeviceSpec::default(),
+            max_demand_writes: 100_000,
+            fault: Some(FaultPlan {
+                power_loss_at_writes: (1..5_000).map(|i| i * 31).collect(),
+                ..FaultPlan::default()
+            }),
+            telemetry: None,
+            timing,
+        };
+        let untimed = run_lifetime(&exp(None)).unwrap();
+        let mut timed = run_lifetime(&exp(Some(TimingSpec::default()))).unwrap();
+        assert!(untimed.power_losses > 1_000, "{}: the schedule must fire", untimed.id);
+        assert!(timed.latency.take().is_some());
+        assert_eq!(timed, untimed, "{}: timed and untimed runs diverged", untimed.id);
+    }
+}

@@ -3,7 +3,8 @@
 //! `WearLeveler::write_run`'s default batches through two hooks:
 //! `quiet_writes(la)` certifies how many further writes to `la` are quiet,
 //! and `note_quiet(la, k)` advances the scheme as if `k` of them had been
-//! served. These tests pin that contract at three levels:
+//! served. These tests pin that contract at three levels, and check the
+//! refresh schemes' own batching beside it:
 //!
 //! * **soundness** — from random reachable states of every scheme, `k =
 //!   quiet_writes(la)` scalar writes are quiet (stable translation, no
@@ -13,7 +14,11 @@
 //!   applied, so a pump retries precisely the writes a power loss dropped;
 //! * **equivalence** — the schemes that batch only through the default
 //!   (RBSG, Segment Swapping, NWL) match the scalar loop across dwells
-//!   around their trigger period, untimed and timed.
+//!   around their trigger period, untimed and timed;
+//! * **refresh chunks** — Security Refresh and TLSR, which override
+//!   `write_run` with chunks the device proves failure-free, match the
+//!   scalar loop byte for byte from random reachable states, one step
+//!   before a round wrap, and next to failing lines and spare exhaustion.
 
 use proptest::prelude::*;
 use sawl_algos::WearLeveler;
@@ -278,6 +283,176 @@ fn newly_batched_timed_runs_match_the_scalar_serve_path() {
             let fast = run_lifetime(&exp(false)).unwrap();
             let scalar = run_lifetime(&exp(true)).unwrap();
             assert_eq!(fast, scalar, "timed fast path diverged for {}", fast.id);
+        }
+    }
+}
+
+/// The refresh schemes, whose `write_run` serves chunks: geometries with
+/// long rounds, rounds shorter than a dwell, and an inner period of 1.
+fn refresh_schemes() -> Vec<SchemeSpec> {
+    vec![
+        SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 32 },
+        SchemeSpec::Tlsr { region_lines: 16, inner_period: 2, outer_period: 4 },
+        SchemeSpec::Tlsr { region_lines: 8, inner_period: 1, outer_period: 3 },
+        SchemeSpec::SingleSr { period: 1 },
+        SchemeSpec::SingleSr { period: 7 },
+    ]
+}
+
+/// Put the refresh level that serves `la` one step before its round's
+/// wrap, with its trigger counter at `counter % period`, by editing the
+/// scheme's checkpoint. `outer` picks TLSR's outer level. Keys, pointers
+/// and counters are free, so the edited state is reachable too.
+fn move_to_round_edge(
+    wl: &mut SchemeInstance,
+    scheme: &SchemeSpec,
+    la: u64,
+    outer: bool,
+    counter: u64,
+) {
+    let bytes = scheme_bytes(wl);
+    let mut r = sawl_ckpt::Reader::new(&bytes);
+    let mut w = sawl_ckpt::Writer::new();
+    w.put_u8(r.get_u8().unwrap());
+    let copy_u64 = |r: &mut sawl_ckpt::Reader, w: &mut sawl_ckpt::Writer, edit: Option<u64>| {
+        let v = r.get_u64().unwrap();
+        w.put_u64(edit.unwrap_or(v));
+    };
+    match *scheme {
+        SchemeSpec::SingleSr { period } => {
+            copy_u64(&mut r, &mut w, None);
+            copy_u64(&mut r, &mut w, None);
+            copy_u64(&mut r, &mut w, Some(LINES - 1));
+            copy_u64(&mut r, &mut w, Some(counter % period));
+        }
+        SchemeSpec::Tlsr { region_lines, inner_period, outer_period } => {
+            copy_u64(&mut r, &mut w, None);
+            copy_u64(&mut r, &mut w, None);
+            copy_u64(&mut r, &mut w, outer.then_some(LINES - 1));
+            let regions = r.get_u64().unwrap();
+            w.put_u64(regions);
+            let region = wl.translate(la) / region_lines;
+            for i in 0..regions {
+                copy_u64(&mut r, &mut w, None);
+                copy_u64(&mut r, &mut w, None);
+                copy_u64(&mut r, &mut w, (!outer && i == region).then_some(region_lines - 1));
+            }
+            let mut inner_writes = r.get_u32_vec().unwrap();
+            if !outer {
+                inner_writes[region as usize] = (counter % inner_period) as u32;
+            }
+            w.put_u32_slice(&inner_writes);
+            copy_u64(&mut r, &mut w, outer.then_some(counter % outer_period));
+        }
+        _ => unreachable!("not a refresh scheme"),
+    }
+    let rest = r.remaining();
+    for _ in 0..rest {
+        w.put_u8(r.get_u8().unwrap());
+    }
+    let bytes = w.into_payload();
+    let mut r = sawl_ckpt::Reader::new(&bytes);
+    wl.ckpt_restore(&mut r).unwrap();
+    r.finish().unwrap();
+}
+
+/// Drive `scheme` to a reachable state, optionally move it to a round
+/// edge, bring chosen lines 0–2 writes from failure on a device with
+/// `spares_left` spares, then check `write_run(la, n)` against `n` scalar
+/// writes (stopping after the one that kills the device).
+#[allow(clippy::too_many_arguments)]
+fn check_chunked_run(
+    scheme: &SchemeSpec,
+    seed: u64,
+    warmup: &[(u64, u64)],
+    la: u64,
+    edge: u8,
+    counter: u64,
+    near: &[(u64, u64)],
+    spares_left: u64,
+    n: u64,
+) {
+    let device = DeviceSpec {
+        endurance: 3_000,
+        banks: 1,
+        variation: if seed.is_multiple_of(2) {
+            sawl_nvm::EnduranceModel::Uniform
+        } else {
+            sawl_nvm::EnduranceModel::Gaussian { cov: 0.2 }
+        },
+        ..Default::default()
+    };
+    let (mut wl, mut dev) = build(scheme, &device, seed);
+    for &(target, dwell) in warmup {
+        for _ in 0..dwell {
+            wl.write(target % LINES, &mut dev);
+        }
+    }
+    if edge > 0 {
+        move_to_round_edge(&mut wl, scheme, la, edge == 2, counter);
+    }
+    // Spend spares on lines the run is unlikely to touch, then leave the
+    // chosen lines (the target's own line first) a few writes from failure.
+    let to_failure =
+        |dev: &NvmDevice, pa: u64| u64::from(dev.limit(pa) - dev.write_count(pa) % dev.limit(pa));
+    let spares = dev.config().spare_lines();
+    for i in 0..spares.saturating_sub(spares_left) {
+        let pa = LINES - 1 - i;
+        dev.write_run(pa, to_failure(&dev, pa));
+    }
+    let own = wl.translate(la);
+    for &(pa, slack) in [(own, near[0].1)].iter().chain(near) {
+        let left = to_failure(&dev, pa);
+        dev.write_run(pa, left - 1 - slack.min(left - 1));
+    }
+    assert!(!dev.is_dead());
+    let (mut batched, mut batched_dev) = fork(scheme, &device, seed, &wl, &dev);
+    // A third of the cases watch wear with the telemetry probe on, which
+    // a chunk must keep current.
+    if seed.is_multiple_of(3) {
+        dev.enable_wear_probe();
+        batched_dev.enable_wear_probe();
+    }
+
+    let before = dev.wear().demand_writes;
+    for _ in 0..n {
+        if dev.is_dead() {
+            break;
+        }
+        wl.write(la, &mut dev);
+    }
+    let done = batched.write_run(la, n, &mut batched_dev);
+    let id = format!("{} la {la} n {n} edge {edge}", wl.name());
+    assert_eq!(done, dev.wear().demand_writes - before, "{id}: write_run count");
+    assert_eq!(batched_dev.is_dead(), dev.is_dead(), "{id}: death");
+    assert_eq!(scheme_bytes(&batched), scheme_bytes(&wl), "{id}: scheme diverged");
+    assert_eq!(device_bytes(&batched_dev), device_bytes(&dev), "{id}: device diverged");
+    assert_eq!(batched_dev.wear_snapshot(), dev.wear_snapshot(), "{id}: wear probe diverged");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48 })]
+
+    /// The refresh schemes' chunks (demand runs, region sweeps and
+    /// single swap writes the device proves failure-free) equal the
+    /// scalar loop from random reachable states, one step before an
+    /// inner or outer round wrap, and on devices with lines a few writes
+    /// from failure and spares nearly gone.
+    #[test]
+    fn refresh_chunks_match_scalar_writes_from_random_reachable_states(
+        warmup in prop::collection::vec((any::<u64>(), 1u64..600), 1..12),
+        pick in any::<u64>(),
+        edge in 0u8..3,
+        counter in any::<u64>(),
+        near in prop::collection::vec((0..LINES, 0u64..3), 1..12),
+        spares_left in 0u64..3,
+        n in 1u64..4_000,
+        seed in any::<u64>(),
+    ) {
+        let la = if pick.is_multiple_of(2) { warmup[warmup.len() - 1].0 % LINES } else { pick % LINES };
+        for scheme in refresh_schemes() {
+            let edge = if matches!(scheme, SchemeSpec::SingleSr { .. }) { edge.min(1) } else { edge };
+            check_chunked_run(&scheme, seed, &warmup, la, edge, counter, &near, spares_left, n);
         }
     }
 }

@@ -222,6 +222,47 @@ fn single_sr_batched_write_run_matches_scalar_across_periods() {
 }
 
 #[test]
+fn refresh_chunks_match_scalar_on_a_long_lived_device() {
+    // At endurance 200 almost no chunk of the refresh schemes can be
+    // proven failure-free, so the grids above mostly exercise the window
+    // fallback. Here lines live 20 000 writes (with Gaussian variation),
+    // so dwells are served as chunks (demand runs, whole-region sweeps
+    // and single swap writes) and fall back only near failures; runs go
+    // both to death and to a cap in mid-life.
+    let schemes = [
+        SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 32 },
+        SchemeSpec::Tlsr { region_lines: 16, inner_period: 2, outer_period: 4 },
+        SchemeSpec::SingleSr { period: 32 },
+        SchemeSpec::SingleSr { period: 513 },
+    ];
+    for scheme in schemes {
+        for dwell in [2_048u64, 5_000] {
+            for cap in [0u64, 15_000_003] {
+                let exp = LifetimeExperiment {
+                    id: format!("equiv-chunks/{}/{dwell}/{cap}", scheme.name()),
+                    scheme: scheme.clone(),
+                    workload: WorkloadSpec::Bpa { writes_per_target: dwell },
+                    data_lines: 1 << 12,
+                    device: DeviceSpec {
+                        endurance: 20_000,
+                        variation: sawl_nvm::EnduranceModel::Gaussian { cov: 0.2 },
+                        ..Default::default()
+                    },
+                    max_demand_writes: cap,
+                    fault: None,
+                    telemetry: None,
+                    timing: None,
+                };
+                let batched = run_lifetime(&exp).unwrap();
+                assert_eq!(batched.device_died, cap == 0, "{}", exp.id);
+                let scalar = scalar_lifetime(&exp);
+                assert_eq!(batched, scalar, "chunked run diverged from scalar for {}", exp.id);
+            }
+        }
+    }
+}
+
+#[test]
 fn batched_lifetime_matches_scalar_reference_at_a_write_cap() {
     // A cap that lands mid-block: the pump must stop within one request
     // of it, exactly like the scalar loop.

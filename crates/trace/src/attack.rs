@@ -140,9 +140,19 @@ impl AddressStream for Bpa {
     }
 
     fn cursor_restore(&mut self, r: &mut sawl_ckpt::Reader) -> Result<(), sawl_ckpt::CkptError> {
-        self.rng = SmallRng::from_state(r.get_rng()?);
-        self.current = r.get_u64()?;
-        self.remaining = r.get_u64()?;
+        let rng = r.get_rng()?;
+        let current = r.get_u64()?;
+        let remaining = r.get_u64()?;
+        if current >= self.space || remaining > self.writes_per_target {
+            return Err(sawl_ckpt::CkptError::Corrupt(format!(
+                "bpa cursor: target {current} with {remaining} writes left does not fit a \
+                 {}-line space with dwell {}",
+                self.space, self.writes_per_target
+            )));
+        }
+        self.rng = SmallRng::from_state(rng);
+        self.current = current;
+        self.remaining = remaining;
         Ok(())
     }
 }
@@ -150,6 +160,7 @@ impl AddressStream for Bpa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sawl_ckpt::CkptError;
 
     #[test]
     fn raa_always_hits_the_target() {
@@ -203,6 +214,33 @@ mod tests {
         let max = *seen.iter().max().unwrap() as f64;
         let min = *seen.iter().min().unwrap() as f64;
         assert!(max / min < 3.0, "non-uniform targeting: min {min}, max {max}");
+    }
+
+    /// Save `bpa`'s cursor, let `edit` rewrite the payload's `current`
+    /// and `remaining` words, and restore it into a twin.
+    fn restore_edited(bpa: &Bpa, edit: impl FnOnce(&mut [u64; 2])) -> Result<(), CkptError> {
+        let mut w = sawl_ckpt::Writer::new();
+        bpa.cursor_save(&mut w);
+        let mut bytes = w.into_payload();
+        let tail = bytes.len() - 16;
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+        let mut words = [word(&bytes[tail..tail + 8]), word(&bytes[tail + 8..])];
+        edit(&mut words);
+        bytes[tail..tail + 8].copy_from_slice(&words[0].to_le_bytes());
+        bytes[tail + 8..].copy_from_slice(&words[1].to_le_bytes());
+        let mut twin = bpa.clone();
+        twin.cursor_restore(&mut sawl_ckpt::Reader::new(&bytes))
+    }
+
+    #[test]
+    fn bpa_cursor_restore_rejects_out_of_range_fields() {
+        let mut bpa = Bpa::new(1024, 16, 9);
+        bpa.next_req();
+        assert!(restore_edited(&bpa, |_| {}).is_ok());
+        assert!(restore_edited(&bpa, |c| c[1] = 16).is_ok());
+        for edit in [|c: &mut [u64; 2]| c[0] = 1 << 40, |c: &mut [u64; 2]| c[1] = 17] {
+            assert!(matches!(restore_edited(&bpa, edit), Err(CkptError::Corrupt(_))));
+        }
     }
 
     #[test]

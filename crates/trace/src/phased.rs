@@ -212,8 +212,15 @@ impl AddressStream for Phased {
                 self.children.len()
             )));
         }
+        let remaining = r.get_u64()?;
+        let budget = self.children[current].0;
+        if remaining > budget {
+            return Err(sawl_ckpt::CkptError::Corrupt(format!(
+                "phase cursor: {remaining} requests left in phase {current} of budget {budget}"
+            )));
+        }
         self.current = current;
-        self.remaining = r.get_u64()?;
+        self.remaining = remaining;
         for (_, c) in &mut self.children {
             c.cursor_restore(r)?;
         }
@@ -255,6 +262,28 @@ mod tests {
         let seq: Vec<u64> = (0..6).map(|_| p.next_req().la).collect();
         // Scan resumes at 2 after the interleaved RAA phase.
         assert_eq!(seq, vec![0, 1, 9, 2, 3, 9]);
+    }
+
+    #[test]
+    fn phased_cursor_restore_rejects_a_phase_overrun() {
+        let phased = || {
+            let a = Box::new(Raa::new(1, 10));
+            let b = Box::new(Raa::new(2, 10));
+            Phased::new(vec![(3, a), (2, b)])
+        };
+        let mut p = phased();
+        for _ in 0..4 {
+            p.next_req();
+        }
+        let mut w = sawl_ckpt::Writer::new();
+        p.cursor_save(&mut w);
+        let good = w.into_payload();
+        assert!(phased().cursor_restore(&mut sawl_ckpt::Reader::new(&good)).is_ok());
+        // The cursor is `current` then `remaining`; phase 1's budget is 2.
+        let mut bad = good.clone();
+        bad[8..16].copy_from_slice(&1000u64.to_le_bytes());
+        let err = phased().cursor_restore(&mut sawl_ckpt::Reader::new(&bad)).unwrap_err();
+        assert!(matches!(err, sawl_ckpt::CkptError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
