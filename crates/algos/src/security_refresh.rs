@@ -27,19 +27,20 @@
 //! swaps exactly when it is the smaller address of its pair, so a whole
 //! round with `k0 != k1` writes every slot once: one range sweep.
 //!
-//! Both schemes' `write_run` therefore serve a run as *chunks*. A chunk
-//! reaches up to and including the next RNG draw (a round wrap at either
-//! level) and, for TLSR, ends before the first outer step that would swap
-//! into the target's own intermediate region, which includes any outer
-//! remap of the target. Within a chunk only the target's inner (or
-//! single-level) mapping can change, at most once, so its demand writes
-//! are one or two runs. A whole inner round is one region sweep; partial
-//! rounds and outer swaps are single overhead writes. The device applies
-//! the chunk only if it proves no touched line fails on the way
-//! ([`NvmDevice::try_write_chunk`]), which keeps death ordering exact. A
-//! refused chunk, and every write on a fault-armed device, is served one
-//! refresh window at a time instead: the stretch up to and including the
-//! next step trigger is one translation and one device run, followed by
+//! Both schemes' `write_run` therefore serve a run that crosses a step
+//! trigger as *chunks*. A chunk reaches up to and including the next RNG
+//! draw (a round wrap at either level) and, for TLSR, ends before the
+//! first outer step that would swap into the target's own intermediate
+//! region, which includes any outer remap of the target. Within a chunk
+//! only the target's inner (or single-level) mapping can change, at most
+//! once, so its demand writes are one or two runs. A whole inner round is
+//! one region sweep; partial rounds and outer swaps are single overhead
+//! writes. The device applies the chunk only if it proves no touched line
+//! fails on the way ([`NvmDevice::try_write_chunk`]), which keeps death
+//! ordering exact; it refuses every chunk while a fault plan is armed. A
+//! refused chunk, and a run that ends by the next step trigger, is served
+//! one refresh window at a time instead: the stretch up to and including
+//! the next trigger is one translation and one device run, followed by
 //! the scalar step. The RNG stream, and so every checkpoint byte, matches
 //! the scalar `write` loop.
 
@@ -110,7 +111,7 @@ impl SrInstance {
     /// wrap is the only step that draws from the RNG, and it never swaps:
     /// its pointer is the largest address, so its partner lies behind it.
     #[inline]
-    pub fn steps_to_wrap(&self) -> u64 {
+    pub(crate) fn steps_to_wrap(&self) -> u64 {
         self.size - self.rp
     }
 
@@ -119,7 +120,7 @@ impl SrInstance {
     /// round's wrap. A wrap changes no mapping, since every address is then
     /// refreshed and the retiring key hands over to the current one.
     #[inline]
-    pub fn next_remap(&self, a: u64) -> Option<(u64, u64)> {
+    pub(crate) fn next_remap(&self, a: u64) -> Option<(u64, u64)> {
         let d = self.k0 ^ self.k1;
         if d == 0 || self.refreshed(a) {
             return None;
@@ -131,7 +132,7 @@ impl SrInstance {
     /// order, as `(step index from 1, slot, slot)`. Step `p` swaps exactly
     /// when it is the smaller address of its pair, so within one round
     /// every slot is written at most once.
-    pub fn swaps(&self, k: u64) -> impl Iterator<Item = (u64, u64, u64)> {
+    pub(crate) fn swaps(&self, k: u64) -> impl Iterator<Item = (u64, u64, u64)> {
         debug_assert!(k <= self.steps_to_wrap());
         let (rp, k0, k1) = (self.rp, self.k0, self.k1);
         let k = if k0 == k1 { 0 } else { k };
@@ -141,13 +142,13 @@ impl SrInstance {
     /// Whether the next `k` steps are a whole round that swaps, so their
     /// swaps write every slot of the instance exactly once.
     #[inline]
-    pub fn swaps_every_slot(&self, k: u64) -> bool {
+    pub(crate) fn swaps_every_slot(&self, k: u64) -> bool {
         self.rp == 0 && k == self.size && self.k0 != self.k1
     }
 
     /// Take `k <= steps_to_wrap()` steps whose swaps the caller has
     /// already written. Draws a key only if the last of them wraps.
-    pub fn advance(&mut self, k: u64, rng: &mut impl Rng) {
+    pub(crate) fn advance(&mut self, k: u64, rng: &mut impl Rng) {
         debug_assert!(k <= self.steps_to_wrap());
         self.rp += k;
         if self.rp == self.size {
@@ -258,20 +259,27 @@ trait Chunked {
     fn window(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> (u64, bool);
 }
 
-/// `write_run` of a [`Chunked`] scheme: chunks first; a stretch the device
-/// refuses, and every write on a fault-armed device, goes window by window.
-fn write_run_chunked(s: &mut impl Chunked, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
+/// `write_run` of a [`Chunked`] scheme. A stretch that ends by the next
+/// step trigger is one window; a longer one is tried as a chunk, and a
+/// chunk the device refuses goes window by window.
+fn write_run_chunked<S: Chunked + WearLeveler>(
+    s: &mut S,
+    la: La,
+    n: u64,
+    dev: &mut NvmDevice,
+) -> u64 {
     let mut done = 0;
     while done < n {
-        let stretch = if dev.fault_plan_armed() {
-            n - done
+        let left = n - done;
+        let stretch = if left <= s.quiet_writes(la) + 1 {
+            left
         } else {
-            match s.try_chunk(la, n - done, dev) {
-                Ok(w) => {
+            match s.try_chunk(la, left, dev) {
+                Ok(w) if w > 0 => {
                     done += w;
                     continue;
                 }
-                Err(w) => w.max(1),
+                Ok(w) | Err(w) => w.max(1),
             }
         };
         let end = done + stretch;
@@ -350,10 +358,11 @@ impl Chunked for SecurityRefresh {
     /// A remap of `la` inside the chunk splits its demand into two runs.
     fn try_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64> {
         let (p, wc) = (self.period, self.writes);
-        let wrap = self.sr.steps_to_wrap() * p - wc;
+        // Saturating: a product past `u64::MAX` is a distance no run reaches.
+        let wrap = self.sr.steps_to_wrap().saturating_mul(p) - wc;
         let mut w = n.min(wrap);
         if !(self.sr.steps_to_wrap() == self.sr.size() && w == wrap) {
-            w = w.min((CHUNK_STEPS + 1) * p - wc - 1);
+            w = w.min((CHUNK_STEPS + 1).saturating_mul(p) - wc - 1);
         }
         let k = (wc + w) / p;
         let buf = &mut self.buf;
@@ -594,18 +603,19 @@ impl Chunked for Tlsr {
         let iw = u64::from(self.inner_writes[region as usize]);
         let ow = self.outer_writes;
         let inner = &self.inner[region as usize];
-        let inner_wrap = inner.steps_to_wrap() * ip - iw;
+        // Saturating: a product past `u64::MAX` is a distance no run reaches.
+        let inner_wrap = inner.steps_to_wrap().saturating_mul(ip) - iw;
         let mut w = n
             .min(inner_wrap)
-            .min(self.outer.steps_to_wrap() * op - ow)
-            .min((CHUNK_STEPS + 1) * op - ow - 1);
+            .min(self.outer.steps_to_wrap().saturating_mul(op) - ow)
+            .min((CHUNK_STEPS + 1).saturating_mul(op) - ow - 1);
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
         if let Some(s) = self.gather_outer_swaps((ow + w) / op, region, &mut buf.wl) {
             w = s * op - ow - 1;
         }
         if !(inner.steps_to_wrap() == inner.size() && w == inner_wrap) {
-            let capped = w.min((CHUNK_STEPS + 1) * ip - iw - 1);
+            let capped = w.min((CHUNK_STEPS + 1).saturating_mul(ip) - iw - 1);
             if capped < w {
                 // Only regions of more than `CHUNK_STEPS + 1` lines get here.
                 w = capped;

@@ -68,7 +68,7 @@ impl WearCounters {
 
 /// Writes that a scheme serves together as one chunk, all or nothing (see
 /// [`NvmDevice::try_write_chunk`]).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug)]
 pub struct WriteChunk<'a> {
     /// Demand runs `(pa, n)`: `n` demand writes to line `pa`.
     pub demand: &'a [(Pa, u64)],

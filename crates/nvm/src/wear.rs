@@ -224,12 +224,10 @@ impl WearState {
     /// without failing.
     #[inline]
     pub fn range_clear_of_failures(&self, start: Pa, n: u64) -> bool {
-        // A minimum instead of a short-circuiting `all`, so the scan
-        // vectorizes.
         let (s, n) = (start as usize, n as usize);
         match &self.remaining {
-            Countdown::U16(v) => v[s..s + n].iter().min().is_none_or(|&r| r > 1),
-            Countdown::U32(v) => v[s..s + n].iter().min().is_none_or(|&r| r > 1),
+            Countdown::U16(v) => v[s..s + n].iter().all(|&r| r > 1),
+            Countdown::U32(v) => v[s..s + n].iter().all(|&r| r > 1),
         }
     }
 

@@ -50,8 +50,17 @@ fn all_schemes() -> Vec<SchemeSpec> {
 }
 
 fn build(scheme: &SchemeSpec, device: &DeviceSpec, seed: u64) -> (SchemeInstance, NvmDevice) {
-    let dev = device.build(scheme.physical_lines(LINES), seed);
-    (scheme.instantiate(LINES, seed), dev)
+    build_sized(scheme, device, seed, LINES)
+}
+
+fn build_sized(
+    scheme: &SchemeSpec,
+    device: &DeviceSpec,
+    seed: u64,
+    lines: u64,
+) -> (SchemeInstance, NvmDevice) {
+    let dev = device.build(scheme.physical_lines(lines), seed);
+    (scheme.instantiate(lines, seed), dev)
 }
 
 fn scheme_bytes(wl: &SchemeInstance) -> Vec<u8> {
@@ -66,16 +75,18 @@ fn device_bytes(dev: &NvmDevice) -> Vec<u8> {
     w.into_payload()
 }
 
-/// Fork a run through its checkpoint: a fresh instance of the same spec
-/// restored from the original's scheme and device bytes.
+/// Fork a run over `lines` logical lines through its checkpoint: a fresh
+/// instance of the same spec restored from the original's scheme and
+/// device bytes.
 fn fork(
     scheme: &SchemeSpec,
     device: &DeviceSpec,
     seed: u64,
+    lines: u64,
     wl: &SchemeInstance,
     dev: &NvmDevice,
 ) -> (SchemeInstance, NvmDevice) {
-    let (mut wl2, mut dev2) = build(scheme, device, seed);
+    let (mut wl2, mut dev2) = build_sized(scheme, device, seed, lines);
     let bytes = scheme_bytes(wl);
     let mut r = sawl_ckpt::Reader::new(&bytes);
     wl2.ckpt_restore(&mut r).unwrap();
@@ -104,7 +115,7 @@ fn check_quiet_span(scheme: &SchemeSpec, seed: u64, warmup: &[(u64, u64)], la: u
         }
     }
     let k = wl.quiet_writes(la).min(SPAN_CAP);
-    let (mut batched, mut batched_dev) = fork(scheme, &device, seed, &wl, &dev);
+    let (mut batched, mut batched_dev) = fork(scheme, &device, seed, LINES, &wl, &dev);
 
     let pa = wl.translate(la);
     let before = *dev.wear();
@@ -287,29 +298,52 @@ fn newly_batched_timed_runs_match_the_scalar_serve_path() {
     }
 }
 
-/// The refresh schemes, whose `write_run` serves chunks: geometries with
-/// long rounds, rounds shorter than a dwell, and an inner period of 1.
-fn refresh_schemes() -> Vec<SchemeSpec> {
+/// The refresh schemes, whose `write_run` serves chunks, each with the
+/// logical lines it runs over: geometries with long rounds, rounds shorter
+/// than a dwell, an inner period of 1, and regions long enough that a
+/// chunk stops at the cap on a partial inner round (more than 257 lines,
+/// with outer swaps elsewhere inside the chunk).
+fn refresh_schemes() -> Vec<(SchemeSpec, u64)> {
     vec![
-        SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 32 },
-        SchemeSpec::Tlsr { region_lines: 16, inner_period: 2, outer_period: 4 },
-        SchemeSpec::Tlsr { region_lines: 8, inner_period: 1, outer_period: 3 },
-        SchemeSpec::SingleSr { period: 1 },
-        SchemeSpec::SingleSr { period: 7 },
+        (SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 32 }, LINES),
+        (SchemeSpec::Tlsr { region_lines: 16, inner_period: 2, outer_period: 4 }, LINES),
+        (SchemeSpec::Tlsr { region_lines: 8, inner_period: 1, outer_period: 3 }, LINES),
+        (SchemeSpec::Tlsr { region_lines: 512, inner_period: 4, outer_period: 64 }, 1 << 13),
+        (SchemeSpec::SingleSr { period: 1 }, LINES),
+        (SchemeSpec::SingleSr { period: 7 }, LINES),
     ]
 }
 
-/// Put the refresh level that serves `la` one step before its round's
-/// wrap, with its trigger counter at `counter % period`, by editing the
-/// scheme's checkpoint. `outer` picks TLSR's outer level. Keys, pointers
-/// and counters are free, so the edited state is reachable too.
-fn move_to_round_edge(
-    wl: &mut SchemeInstance,
-    scheme: &SchemeSpec,
-    la: u64,
+/// Refresh schemes whose periods are near `2^62`, so the distance to a
+/// round's wrap overflows `u64`.
+fn huge_period_schemes() -> Vec<SchemeSpec> {
+    vec![
+        SchemeSpec::SingleSr { period: 1 << 62 },
+        SchemeSpec::Tlsr {
+            region_lines: 64,
+            inner_period: u64::from(u32::MAX),
+            outer_period: (1 << 62) + 1,
+        },
+    ]
+}
+
+/// A refresh state to move a scheme to: the level that serves the target
+/// (`outer` picks TLSR's outer level) with `steps_left` steps left in its
+/// round (clamped to `1..=size`, so `u64::MAX` is a fresh round) and its
+/// trigger counter at `counter % period`.
+#[derive(Debug, Clone, Copy)]
+struct Edit {
     outer: bool,
+    steps_left: u64,
     counter: u64,
-) {
+}
+
+/// Apply `e` to the refresh level that serves `la` by editing the
+/// scheme's checkpoint. Keys, pointers and counters are free, so the
+/// edited state is reachable too.
+fn edit_refresh_state(wl: &mut SchemeInstance, scheme: &SchemeSpec, la: u64, e: Edit) {
+    let pointer = |size: u64| size - e.steps_left.clamp(1, size);
+    let (lines, outer, counter) = (wl.logical_lines(), e.outer, e.counter);
     let bytes = scheme_bytes(wl);
     let mut r = sawl_ckpt::Reader::new(&bytes);
     let mut w = sawl_ckpt::Writer::new();
@@ -322,20 +356,20 @@ fn move_to_round_edge(
         SchemeSpec::SingleSr { period } => {
             copy_u64(&mut r, &mut w, None);
             copy_u64(&mut r, &mut w, None);
-            copy_u64(&mut r, &mut w, Some(LINES - 1));
+            copy_u64(&mut r, &mut w, Some(pointer(lines)));
             copy_u64(&mut r, &mut w, Some(counter % period));
         }
         SchemeSpec::Tlsr { region_lines, inner_period, outer_period } => {
             copy_u64(&mut r, &mut w, None);
             copy_u64(&mut r, &mut w, None);
-            copy_u64(&mut r, &mut w, outer.then_some(LINES - 1));
+            copy_u64(&mut r, &mut w, outer.then(|| pointer(lines)));
             let regions = r.get_u64().unwrap();
             w.put_u64(regions);
             let region = wl.translate(la) / region_lines;
             for i in 0..regions {
                 copy_u64(&mut r, &mut w, None);
                 copy_u64(&mut r, &mut w, None);
-                copy_u64(&mut r, &mut w, (!outer && i == region).then_some(region_lines - 1));
+                copy_u64(&mut r, &mut w, (!outer && i == region).then(|| pointer(region_lines)));
             }
             let mut inner_writes = r.get_u32_vec().unwrap();
             if !outer {
@@ -356,18 +390,19 @@ fn move_to_round_edge(
     r.finish().unwrap();
 }
 
-/// Drive `scheme` to a reachable state, optionally move it to a round
-/// edge, bring chosen lines 0–2 writes from failure on a device with
-/// `spares_left` spares, then check `write_run(la, n)` against `n` scalar
-/// writes (stopping after the one that kills the device).
+/// Drive `scheme` over `lines` logical lines to a reachable state,
+/// optionally edit its refresh state, bring chosen lines 0–2 writes from
+/// failure on a device with `spares_left` spares, then check
+/// `write_run(la, n)` against `n` scalar writes (stopping after the one
+/// that kills the device).
 #[allow(clippy::too_many_arguments)]
 fn check_chunked_run(
     scheme: &SchemeSpec,
+    lines: u64,
     seed: u64,
     warmup: &[(u64, u64)],
     la: u64,
-    edge: u8,
-    counter: u64,
+    edit: Option<Edit>,
     near: &[(u64, u64)],
     spares_left: u64,
     n: u64,
@@ -382,14 +417,14 @@ fn check_chunked_run(
         },
         ..Default::default()
     };
-    let (mut wl, mut dev) = build(scheme, &device, seed);
+    let (mut wl, mut dev) = build_sized(scheme, &device, seed, lines);
     for &(target, dwell) in warmup {
         for _ in 0..dwell {
-            wl.write(target % LINES, &mut dev);
+            wl.write(target % lines, &mut dev);
         }
     }
-    if edge > 0 {
-        move_to_round_edge(&mut wl, scheme, la, edge == 2, counter);
+    if let Some(e) = edit {
+        edit_refresh_state(&mut wl, scheme, la, e);
     }
     // Spend spares on lines the run is unlikely to touch, then leave the
     // chosen lines (the target's own line first) a few writes from failure.
@@ -397,16 +432,17 @@ fn check_chunked_run(
         |dev: &NvmDevice, pa: u64| u64::from(dev.limit(pa) - dev.write_count(pa) % dev.limit(pa));
     let spares = dev.config().spare_lines();
     for i in 0..spares.saturating_sub(spares_left) {
-        let pa = LINES - 1 - i;
+        let pa = lines - 1 - i;
         dev.write_run(pa, to_failure(&dev, pa));
     }
     let own = wl.translate(la);
     for &(pa, slack) in [(own, near[0].1)].iter().chain(near) {
+        let pa = pa % lines;
         let left = to_failure(&dev, pa);
         dev.write_run(pa, left - 1 - slack.min(left - 1));
     }
     assert!(!dev.is_dead());
-    let (mut batched, mut batched_dev) = fork(scheme, &device, seed, &wl, &dev);
+    let (mut batched, mut batched_dev) = fork(scheme, &device, seed, lines, &wl, &dev);
     // A third of the cases watch wear with the telemetry probe on, which
     // a chunk must keep current.
     if seed.is_multiple_of(3) {
@@ -422,7 +458,7 @@ fn check_chunked_run(
         wl.write(la, &mut dev);
     }
     let done = batched.write_run(la, n, &mut batched_dev);
-    let id = format!("{} la {la} n {n} edge {edge}", wl.name());
+    let id = format!("{} la {la} n {n} {edit:?}", wl.name());
     assert_eq!(done, dev.wear().demand_writes - before, "{id}: write_run count");
     assert_eq!(batched_dev.is_dead(), dev.is_dead(), "{id}: death");
     assert_eq!(scheme_bytes(&batched), scheme_bytes(&wl), "{id}: scheme diverged");
@@ -444,15 +480,40 @@ proptest! {
         pick in any::<u64>(),
         edge in 0u8..3,
         counter in any::<u64>(),
-        near in prop::collection::vec((0..LINES, 0u64..3), 1..12),
+        near in prop::collection::vec((any::<u64>(), 0u64..3), 1..12),
         spares_left in 0u64..3,
         n in 1u64..4_000,
         seed in any::<u64>(),
     ) {
-        let la = if pick.is_multiple_of(2) { warmup[warmup.len() - 1].0 % LINES } else { pick % LINES };
-        for scheme in refresh_schemes() {
+        let la = if pick.is_multiple_of(2) { warmup[warmup.len() - 1].0 } else { pick };
+        let huge = huge_period_schemes().into_iter().map(|s| (s, LINES));
+        for (scheme, lines) in refresh_schemes().into_iter().chain(huge) {
             let edge = if matches!(scheme, SchemeSpec::SingleSr { .. }) { edge.min(1) } else { edge };
-            check_chunked_run(&scheme, seed, &warmup, la, edge, counter, &near, spares_left, n);
+            let edit = (edge > 0).then_some(Edit { outer: edge == 2, steps_left: 1, counter });
+            check_chunked_run(&scheme, lines, seed, &warmup, la % lines, edit, &near, spares_left, n);
+        }
+    }
+}
+
+#[test]
+fn refresh_chunks_match_scalar_writes_when_rounds_outlast_u64() {
+    // A round of `lines * period` writes past `u64::MAX`: runs that cross
+    // a trigger, at the start of the serving level's round or one step
+    // before its wrap, must be served (not stall or overflow) exactly as
+    // scalar writes.
+    for scheme in huge_period_schemes() {
+        let (period, levels) = match scheme {
+            SchemeSpec::SingleSr { period } => (period, &[false][..]),
+            SchemeSpec::Tlsr { outer_period, .. } => (outer_period, &[false, true][..]),
+            _ => unreachable!("not a refresh scheme"),
+        };
+        for &outer in levels {
+            for steps_left in [u64::MAX, 1] {
+                for counter in [period - 1, period - 5, u64::from(u32::MAX) - 3] {
+                    let edit = Some(Edit { outer, steps_left, counter });
+                    check_chunked_run(&scheme, LINES, 5, &[(9, 300)], 9, edit, &[(0, 2)], 2, 40);
+                }
+            }
         }
     }
 }

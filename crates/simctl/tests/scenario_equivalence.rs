@@ -228,10 +228,13 @@ fn refresh_chunks_match_scalar_on_a_long_lived_device() {
     // fallback. Here lines live 20 000 writes (with Gaussian variation),
     // so dwells are served as chunks (demand runs, whole-region sweeps
     // and single swap writes) and fall back only near failures; runs go
-    // both to death and to a cap in mid-life.
+    // both to death and to a cap in mid-life. With 512-line regions and
+    // an inner period well below the outer one, chunks stop at the cap on
+    // a partial inner round and drop outer swaps gathered past it.
     let schemes = [
         SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 32 },
         SchemeSpec::Tlsr { region_lines: 16, inner_period: 2, outer_period: 4 },
+        SchemeSpec::Tlsr { region_lines: 512, inner_period: 2, outer_period: 64 },
         SchemeSpec::SingleSr { period: 32 },
         SchemeSpec::SingleSr { period: 513 },
     ];
