@@ -24,7 +24,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sawl_nvm::{La, NvmDevice, Pa};
+use sawl_nvm::{La, NvmDevice, Pa, WriteOutcome};
 
 use crate::region::RegionGeometry;
 use crate::WearLeveler;
@@ -269,7 +269,10 @@ impl WearLeveler for Mwsr {
 
     fn write(&mut self, la: La, dev: &mut NvmDevice) -> Pa {
         let pa = self.translate(la);
-        dev.write(pa);
+        if dev.write(pa) == WriteOutcome::PowerLost {
+            // A dropped write is not a write: the trigger must not move.
+            return pa;
+        }
         let lrn = self.geo.region_of(la) as usize;
         self.ctr[lrn] += 1;
         if u64::from(self.ctr[lrn]) >= self.period {

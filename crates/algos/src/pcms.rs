@@ -17,7 +17,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sawl_nvm::{La, NvmDevice, Pa};
+use sawl_nvm::{La, NvmDevice, Pa, WriteOutcome};
 
 use crate::exchange::{draw_key, SwapCounters};
 use crate::region::RegionGeometry;
@@ -181,7 +181,10 @@ impl WearLeveler for PcmS {
 
     fn write(&mut self, la: La, dev: &mut NvmDevice) -> Pa {
         let pa = self.translate(la);
-        dev.write(pa);
+        if dev.write(pa) == WriteOutcome::PowerLost {
+            // A dropped write is not a write: the trigger must not move.
+            return pa;
+        }
         let lrn = self.geo.region_of(la) as usize;
         if self.swaps.record_write(lrn, self.geo.region_lines()) {
             self.exchange(lrn as u32, dev);

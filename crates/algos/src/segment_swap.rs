@@ -15,7 +15,7 @@
 //! rate (§2.2 item 1). The `raa_defeats_segment_swapping` test below
 //! demonstrates the vulnerability.
 
-use sawl_nvm::{La, NvmDevice, Pa};
+use sawl_nvm::{La, NvmDevice, Pa, WriteOutcome};
 
 use crate::region::RegionGeometry;
 use crate::WearLeveler;
@@ -164,7 +164,10 @@ impl WearLeveler for SegmentSwap {
 
     fn write(&mut self, la: La, dev: &mut NvmDevice) -> Pa {
         let pa = self.translate(la);
-        dev.write(pa);
+        if dev.write(pa) == WriteOutcome::PowerLost {
+            // A dropped write is not a write: the trigger must not move.
+            return pa;
+        }
         let pseg = (pa >> self.geo.offset_bits()) as usize;
         self.seg_writes[pseg] += 1;
         self.seg_since_swap[pseg] += 1;

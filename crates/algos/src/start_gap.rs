@@ -19,7 +19,7 @@
 //! and fails in several hours" (§2.2). The `raa_confines_wear_to_one_region`
 //! test shows the failure mode.
 
-use sawl_nvm::{La, NvmDevice, Pa};
+use sawl_nvm::{La, NvmDevice, Pa, WriteOutcome};
 
 use crate::WearLeveler;
 
@@ -184,7 +184,10 @@ impl WearLeveler for StartGap {
 
     fn write(&mut self, la: La, dev: &mut NvmDevice) -> Pa {
         let pa = self.translate(la);
-        dev.write(pa);
+        if dev.write(pa) == WriteOutcome::PowerLost {
+            // A dropped write is not a write: the trigger must not move.
+            return pa;
+        }
         let region = la / self.region_lines;
         self.state[region as usize].writes += 1;
         if self.state[region as usize].writes >= self.period {

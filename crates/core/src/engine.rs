@@ -33,7 +33,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use sawl_algos::{OpCounts, Recovery, WearLeveler};
-use sawl_nvm::{La, NvmDevice, Pa};
+use sawl_nvm::{La, NvmDevice, Pa, WriteOutcome};
 use sawl_telemetry::{Event, EventKind, EventRing, SchemeSample};
 use sawl_tiered::cmt::Cmt;
 use sawl_tiered::imt::ImtEntry;
@@ -554,7 +554,11 @@ impl WearLeveler for Sawl {
         let g = la >> self.mapping.p_log2();
         let e = self.resolve(g, dev);
         let pa = e.translate(la);
-        dev.write(pa);
+        if dev.write(pa) == WriteOutcome::PowerLost {
+            // A dropped write is not a write: neither the exchange trigger
+            // nor the monitor's request count may move.
+            return pa;
+        }
         let base = self.mapping.base_of(g, e);
         if self.xchg.record_write(base, e.q()) {
             self.exchange(base, dev);

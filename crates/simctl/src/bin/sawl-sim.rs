@@ -38,6 +38,7 @@
 //! workload, unreadable checkpoint), `2` bad usage or an invalid spec,
 //! `3` interrupted (partial report emitted).
 
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -368,11 +369,20 @@ fn run_perf_cli(raw: &str, args: &RunArgs) -> Result<(String, u8), (String, u8)>
     Ok((report_json(&result)?, 0))
 }
 
-fn print_or_fail(out: Result<String, (String, u8)>) -> ExitCode {
+/// Print a result's JSON and exit with its code, or print its one-line
+/// error. A reader that closes the pipe early (`sawl-sim ... | head`) only
+/// drops the output: that is not an error.
+fn print_or_fail(out: Result<(String, u8), (String, u8)>) -> ExitCode {
     match out {
-        Ok(json) => {
-            println!("{json}");
-            ExitCode::SUCCESS
+        Ok((json, code)) => {
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{json}").and_then(|()| stdout.flush()) {
+                Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                    eprintln!("cannot write the result: {e}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::from(code),
+            }
         }
         Err((msg, code)) => {
             eprintln!("{msg}");
@@ -385,8 +395,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     match args.get(1).map(String::as_str) {
         Some("example") => match args.get(2).map(String::as_str) {
-            Some("lifetime") => print_or_fail(report_json(&template_lifetime())),
-            Some("perf") => print_or_fail(report_json(&template_perf())),
+            Some("lifetime") => print_or_fail(report_json(&template_lifetime()).map(|j| (j, 0))),
+            Some("perf") => print_or_fail(report_json(&template_perf()).map(|j| (j, 0))),
             _ => {
                 eprintln!("{USAGE}");
                 ExitCode::from(2)
@@ -407,16 +417,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            match run_record_cli(&raw, &rec_args) {
-                Ok((json, code)) => {
-                    println!("{json}");
-                    ExitCode::from(code)
-                }
-                Err((msg, code)) => {
-                    eprintln!("{msg}");
-                    ExitCode::from(code)
-                }
-            }
+            print_or_fail(run_record_cli(&raw, &rec_args))
         }
         Some(mode @ ("lifetime" | "perf")) => {
             let run_args = match parse_run_args(&args[2..]) {
@@ -439,21 +440,11 @@ fn main() -> ExitCode {
                 }
             };
             signal::install();
-            let out = if mode == "lifetime" {
+            print_or_fail(if mode == "lifetime" {
                 run_lifetime_cli(&raw, &run_args)
             } else {
                 run_perf_cli(&raw, &run_args)
-            };
-            match out {
-                Ok((json, code)) => {
-                    println!("{json}");
-                    ExitCode::from(code)
-                }
-                Err((msg, code)) => {
-                    eprintln!("{msg}");
-                    ExitCode::from(code)
-                }
-            }
+            })
         }
         _ => {
             eprintln!("{USAGE}");

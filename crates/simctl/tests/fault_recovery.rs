@@ -317,3 +317,42 @@ fn refresh_schemes_count_only_applied_writes_timed_and_untimed() {
         assert_eq!(timed, untimed, "{}: timed and untimed runs diverged", untimed.id);
     }
 }
+
+/// Every scheme's trigger accounting skips a write that a power loss
+/// dropped, on the scalar `write` path (timed, fault-armed) as on the
+/// batched `write_run` path (untimed): the two runs end in the same report.
+#[test]
+fn every_scheme_counts_only_applied_writes_timed_and_untimed() {
+    for scheme in [
+        SchemeSpec::Baseline,
+        SchemeSpec::Ideal,
+        SchemeSpec::SegmentSwap { segment_lines: 64, swap_period: 128 },
+        SchemeSpec::Rbsg { regions: 4, region_lines: 1024, period: 64 },
+        SchemeSpec::SingleSr { period: 32 },
+        SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 32 },
+        SchemeSpec::PcmS { region_lines: 16, period: 32 },
+        SchemeSpec::Mwsr { region_lines: 16, period: 32 },
+        SchemeSpec::Nwl { granularity: 4, cmt_entries: 64, swap_period: 16 },
+        SchemeSpec::sawl_default(64),
+    ] {
+        let exp = |timing| LifetimeExperiment {
+            id: format!("fault/every-scheme-power/{}", scheme.name()),
+            scheme: scheme.clone(),
+            workload: WorkloadSpec::Bpa { writes_per_target: 512 },
+            data_lines: 1 << 12,
+            device: DeviceSpec::default(),
+            max_demand_writes: 50_000,
+            fault: Some(FaultPlan {
+                power_loss_at_writes: (1..3_000).map(|i| i * 31).collect(),
+                ..FaultPlan::default()
+            }),
+            telemetry: None,
+            timing,
+        };
+        let untimed = run_lifetime(&exp(None)).unwrap();
+        let mut timed = run_lifetime(&exp(Some(TimingSpec::default()))).unwrap();
+        assert!(untimed.power_losses > 500, "{}: the schedule must fire", untimed.id);
+        assert!(timed.latency.take().is_some());
+        assert_eq!(timed, untimed, "{}: timed and untimed runs diverged", untimed.id);
+    }
+}

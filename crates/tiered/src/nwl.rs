@@ -10,7 +10,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sawl_nvm::{La, NvmDevice, Pa};
+use sawl_nvm::{La, NvmDevice, Pa, WriteOutcome};
 
 use sawl_algos::exchange::{draw_key, SwapCounters};
 use sawl_algos::{OpCounts, Recovery, WearLeveler};
@@ -360,7 +360,10 @@ impl WearLeveler for Nwl {
         let lrn = self.imt.lrn_of(la);
         let e = self.resolve_entry(lrn, dev);
         let pa = e.translate(la);
-        dev.write(pa);
+        if dev.write(pa) == WriteOutcome::PowerLost {
+            // A dropped write is not a write: the trigger must not move.
+            return pa;
+        }
         if self.swaps.record_write(lrn as usize, self.cfg.granularity) {
             self.exchange(lrn, dev);
         }

@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 pub use cpu::CpuModel;
 pub use event::{MemEvent, Translation};
 pub use ipc::{ipc_degradation, IpcEstimate, IpcModel};
-pub use queue::{ClosedLoopConfig, ClosedLoopSim, StallBreakdown};
+pub use queue::{ClosedLoopConfig, ClosedLoopSim, ServeCounts, StallBreakdown};
 
 // Histogram vocabulary, re-exported so timing consumers don't need a
 // direct `sawl-telemetry` dependency to query percentiles.
