@@ -19,8 +19,10 @@
 //! from its id, shards reduce in fixed order through the histogram's
 //! slot-exact merge, and the worker count only bounds the fan-out — so
 //! `--threads 1` and `--threads 4` write byte-identical rows. The
-//! `timed_probe` object (wall-clock Mw/s, scalar vs fast serve) is the
-//! one intentionally non-deterministic part of the document.
+//! `timed_probe` object (wall-clock Mw/s, scalar vs fast serve, each the
+//! median of five runs; the fast pass serves enough writes to last at
+//! least 100 ms) is the one intentionally non-deterministic part of the
+//! document.
 //!
 //! The mean separates schemes only mildly; the p99/p999 columns are where
 //! periodic table-wide exchanges (PCM-S, MWSR) and SAWL's merge/split
@@ -85,12 +87,15 @@ fn main() {
 
     let probe = timed_probe(&cfg);
     println!(
-        "timed probe ({}/{}, {} writes): scalar {:.2} Mw/s, fast {:.2} Mw/s ({:.1}x)",
+        "timed probe ({}/{}, median of {}): scalar {:.2} Mw/s over {} writes, \
+         fast {:.2} Mw/s over {} writes ({:.1}x)",
         probe.scheme,
         probe.workload,
-        probe.requests,
+        probe.runs,
         probe.scalar_mw_per_sec,
+        probe.scalar_requests,
         probe.fast_mw_per_sec,
+        probe.fast_requests,
         probe.speedup,
     );
 

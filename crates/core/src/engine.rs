@@ -238,8 +238,8 @@ impl Sawl {
             return;
         }
         let plan = self.xchg.plan(&self.mapping, base);
-        self.journal.begin(OpKind::Exchange, plan.updates.clone());
-        self.xchg.apply(&mut self.mapping, &plan, dev);
+        self.journal.begin(OpKind::Exchange, &plan.updates);
+        self.xchg.apply(&mut self.mapping, dev);
         if dev.power_lost() {
             // The journal record stays pending; recovery finishes the op.
             return;
@@ -292,19 +292,19 @@ impl Sawl {
         let new_key = self.xchg.draw_region_key(e.q() * 2);
 
         // Journal the whole operation — evacuation updates plus the merged
-        // region's descriptor — before its first NVM write.
-        let mut updates = if b_block != other_half {
-            self.mapping.plan_displacement(other_half * nq, nq, b_block * nq)
-        } else {
-            Vec::new()
-        };
+        // region's descriptor — before its first NVM write. The updates
+        // are planned in the exchange policy's reused buffer.
+        let updates = self.xchg.scratch();
+        if b_block != other_half {
+            self.mapping.plan_displacement(other_half * nq, nq, b_block * nq, updates);
+        }
         updates.push(RegionUpdate {
             base: new_base,
             prn: target2q,
             key: new_key,
             q_log2: new_q_log2,
         });
-        self.journal.begin(OpKind::Merge, updates.clone());
+        self.journal.begin(OpKind::Merge, &*updates);
         self.merges += 1;
 
         if b_block != other_half {
@@ -356,15 +356,16 @@ impl Sawl {
         // region address XORing with the MSB of the offset parameter" — in
         // D-packing terms each child prn extends the parent prn by
         // (h ^ key MSB). Journaled before the first translation-line write.
-        let updates: Vec<RegionUpdate> = (0..2u64)
-            .map(|h| RegionUpdate {
+        let updates: [RegionUpdate; 2] = std::array::from_fn(|h| {
+            let h = h as u64;
+            RegionUpdate {
                 base: base + h * half,
                 prn: (e.prn() << 1) | (h ^ k_msb),
                 key: k_low,
                 q_log2: child_q,
-            })
-            .collect();
-        self.journal.begin(OpKind::Split, updates.clone());
+            }
+        });
+        self.journal.begin(OpKind::Split, updates);
         self.splits += 1;
         self.mapping.cache_remove(base);
         for u in &updates {

@@ -29,7 +29,9 @@ use crate::mapping::{MappingTier, TieredMapping};
 
 /// A fully planned exchange: every region-descriptor update it will apply
 /// (journal-ready) plus the block geometry the data-movement charges need.
-#[derive(Debug, Clone)]
+/// The policy keeps one plan and refills it for each exchange, so its
+/// update buffer is allocated once.
+#[derive(Debug, Clone, Default)]
 pub struct ExchangePlan {
     /// Displacement updates for the target block's occupants (empty for a
     /// re-key in place), followed by the moved region's own update — apply
@@ -76,13 +78,20 @@ pub struct RegionExchange {
     swaps: SwapCounters,
     rng: SmallRng,
     exchanges: u64,
+    /// The latest plan; its buffer is reused by every exchange and merge.
+    plan: ExchangePlan,
 }
 
 impl RegionExchange {
     /// Counters for `granules` slots with the given writes-per-line
     /// swapping period; `rng` continues the engine's seeded stream.
     pub fn new(granules: u64, swap_period: u64, rng: SmallRng) -> Self {
-        Self { swaps: SwapCounters::new(granules as usize, swap_period), rng, exchanges: 0 }
+        Self {
+            swaps: SwapCounters::new(granules as usize, swap_period),
+            rng,
+            exchanges: 0,
+            plan: ExchangePlan::default(),
+        }
     }
 
     /// Writes to the region at `base` until the one that triggers its
@@ -99,11 +108,13 @@ impl RegionExchange {
         self.swaps.add(base as usize, k);
     }
 
-    /// Plan the exchange of the region at `base`: draw the target block and
-    /// the fresh key (consuming the same RNG values, in the same order, as
-    /// the pre-journal implementation) and compute every region update the
-    /// operation will write, without touching the mapping or the device.
-    pub fn plan(&mut self, m: &TieredMapping, base: u64) -> ExchangePlan {
+    /// Plan the exchange of the region at `base` into the policy's plan
+    /// buffer: draw the target block and the fresh key (consuming the same
+    /// RNG values, in the same order, as the pre-journal implementation)
+    /// and compute every region update the operation will write, without
+    /// touching the mapping or the device. [`apply`](Self::apply) carries
+    /// the plan out.
+    pub fn plan(&mut self, m: &TieredMapping, base: u64) -> &ExchangePlan {
         let e = m.entry(base);
         let nq = m.nq(e);
         let q_log2 = e.q_log2;
@@ -120,21 +131,31 @@ impl RegionExchange {
             }
         }
         let new_key = draw_key(&mut self.rng, e.q());
-        let mut updates = if target == my_block {
-            Vec::new()
-        } else {
+        let updates = self.scratch();
+        if target != my_block {
             // Displace the target block's occupants into our old block,
             // preserving their offsets within the block.
-            m.plan_displacement(target * nq, nq, my_block * nq)
-        };
+            m.plan_displacement(target * nq, nq, my_block * nq, updates);
+        }
         updates.push(RegionUpdate { base, prn: target, key: new_key, q_log2 });
-        ExchangePlan { updates, my_block, target, nq }
+        self.plan.my_block = my_block;
+        self.plan.target = target;
+        self.plan.nq = nq;
+        &self.plan
     }
 
-    /// Apply a planned exchange: write the region updates in plan order and
-    /// charge the data movement. Device traffic is identical to the
-    /// pre-journal single-call implementation.
-    pub fn apply(&mut self, m: &mut TieredMapping, plan: &ExchangePlan, dev: &mut NvmDevice) {
+    /// The plan's update buffer, emptied: merge plans its updates here
+    /// too, so no journaled operation allocates once the buffer has grown.
+    pub(crate) fn scratch(&mut self) -> &mut Vec<RegionUpdate> {
+        self.plan.updates.clear();
+        &mut self.plan.updates
+    }
+
+    /// Apply the exchange [`plan`](Self::plan) made last: write the region
+    /// updates in plan order and charge the data movement. Device traffic
+    /// is identical to the pre-journal single-call implementation.
+    pub fn apply(&mut self, m: &mut TieredMapping, dev: &mut NvmDevice) {
+        let plan = &self.plan;
         let base = plan.updates.last().expect("plan has the moved region's update").base;
         if plan.target == plan.my_block {
             // Re-key in place: every line of the block is rewritten.
@@ -187,8 +208,8 @@ impl ExchangePolicy for RegionExchange {
     }
 
     fn exchange(&mut self, m: &mut TieredMapping, base: u64, dev: &mut NvmDevice) {
-        let plan = self.plan(m, base);
-        self.apply(m, &plan, dev);
+        self.plan(m, base);
+        self.apply(m, dev);
     }
 
     #[inline]

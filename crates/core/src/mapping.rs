@@ -158,13 +158,20 @@ impl TieredMapping {
         dev.write_wl_range(start * p, count * p);
     }
 
-    /// Compute the region updates that relocate every region currently
-    /// occupying the `count` physical granules starting at `from` into the
-    /// equal-size block starting at `to`, preserving each region's offset
-    /// within the block. Pure planning — nothing is applied — so the
-    /// engine can journal the updates before the first NVM write.
-    pub fn plan_displacement(&self, from: u64, count: u64, to: u64) -> Vec<RegionUpdate> {
-        let mut updates = Vec::new();
+    /// Append to `updates` the region updates that relocate every region
+    /// currently occupying the `count` physical granules starting at
+    /// `from` into the equal-size block starting at `to`, preserving each
+    /// region's offset within the block. Pure planning — nothing is
+    /// applied — so the engine can journal the updates before the first
+    /// NVM write. Callers pass a reused buffer, so planning allocates
+    /// nothing once the buffer has grown to the largest block.
+    pub fn plan_displacement(
+        &self,
+        from: u64,
+        count: u64,
+        to: u64,
+        updates: &mut Vec<RegionUpdate>,
+    ) {
         let mut g = from;
         while g < from + count {
             let o = u64::from(self.owner[g as usize]);
@@ -180,7 +187,6 @@ impl TieredMapping {
             });
             g += self.nq(e);
         }
-        updates
     }
 
     /// Apply one journaled region update (idempotent: re-applying after a
@@ -204,7 +210,8 @@ impl TieredMapping {
     /// `to`, preserving each region's offset within the block. Rewrites
     /// mapping state only; callers charge the data movement.
     pub fn displace_block(&mut self, from: u64, count: u64, to: u64, dev: &mut NvmDevice) {
-        let updates = self.plan_displacement(from, count, to);
+        let mut updates = Vec::new();
+        self.plan_displacement(from, count, to, &mut updates);
         for u in &updates {
             self.apply_update(u, dev);
         }

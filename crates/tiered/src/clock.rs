@@ -9,14 +9,14 @@
 //! whether SAWL's split heuristic (which needs the LRU halves) is worth
 //! the exact stack.
 
-use std::collections::HashMap;
+use crate::cmt::RegionMap;
 
 /// A CLOCK cache with the same counter interface as [`crate::cmt::Cmt`].
 #[derive(Debug, Clone)]
 pub struct ClockCache<V> {
     /// Slot storage: key, value, referenced bit. `None` = empty slot.
     slots: Vec<Option<(u64, V, bool)>>,
-    map: HashMap<u64, usize>,
+    map: RegionMap<usize>,
     hand: usize,
     hits: u64,
     misses: u64,
@@ -29,7 +29,7 @@ impl<V: Copy> ClockCache<V> {
         assert!(capacity >= 2, "clock cache needs at least two slots");
         Self {
             slots: vec![None; capacity],
-            map: HashMap::with_capacity(capacity * 2),
+            map: RegionMap::with_capacity_and_hasher(capacity * 2, Default::default()),
             hand: 0,
             hits: 0,
             misses: 0,

@@ -15,8 +15,59 @@
 //!
 //! The `reference_model` test drives the cache against a brute-force
 //! `VecDeque` implementation with thousands of mixed operations.
+//!
+//! The key index hashes with `RegionHasher`, a fixed full-avalanche
+//! finalizer in place of std's randomly keyed SipHash: SAWL probes the
+//! index five times per exchange cycle, so the hash sits on the hot path
+//! (DESIGN.md §10 item 4).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for region-base keys: murmur3's `fmix64` finalizer over the
+/// 64-bit key. hashbrown takes the bucket from the low bits and the tag
+/// from the top 7, and merged-region bases are multiples of `2^k`, so a
+/// bare multiply (which leaves the low bits zero) would pile them into a
+/// few buckets; `fmix64` lets every key bit reach every hash bit. The keys
+/// are region bases the engines compute, and checkpoint restore caps the
+/// entries at capacity, so a fixed hasher opens no flooding surface.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RegionHasher(u64);
+
+impl RegionHasher {
+    /// murmur3's 64-bit finalizer.
+    #[inline]
+    fn fmix64(mut k: u64) -> u64 {
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        k ^ (k >> 33)
+    }
+}
+
+impl Hasher for RegionHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = Self::fmix64(self.0 ^ n);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+}
+
+/// A map keyed by region base, hashed with [`RegionHasher`].
+pub(crate) type RegionMap<V> = HashMap<u64, V, BuildHasherDefault<RegionHasher>>;
 
 /// A slot index in the intrusive list; `NIL` means "none".
 type Idx = u32;
@@ -44,7 +95,7 @@ pub enum CmtLookup<V> {
 #[derive(Debug, Clone)]
 pub struct Cmt<V> {
     nodes: Vec<Node<V>>,
-    map: HashMap<u64, Idx>,
+    map: RegionMap<Idx>,
     free: Vec<Idx>,
     head: Idx,
     tail: Idx,
@@ -66,7 +117,7 @@ impl<V: Copy> Cmt<V> {
         assert!(capacity >= 2, "CMT needs at least two entries");
         Self {
             nodes: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity * 2),
+            map: RegionMap::with_capacity_and_hasher(capacity * 2, Default::default()),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -655,6 +706,64 @@ mod tests {
             assert_eq!(c.hits(), r.hits, "step {step}");
             assert_eq!(c.hits_first_half(), r.hits_first, "step {step} first-half");
             assert_eq!(c.hits_second_half(), r.hits_second, "step {step} second-half");
+        }
+    }
+
+    #[test]
+    fn reference_model_with_strided_keys() {
+        // Merged-region bases are multiples of 2^k: the index must stay
+        // exact when every key shares its low bits.
+        for shift in [4u32, 6, 12, 20] {
+            let mut c: Cmt<u32> = Cmt::new(8);
+            let mut r = RefModel {
+                q: VecDeque::new(),
+                cap: 8,
+                hits_first: 0,
+                hits_second: 0,
+                hits: 0,
+                misses: 0,
+            };
+            let mut x = 0x5EED_0000u64 + u64::from(shift);
+            for step in 0..5_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let key = (x % 16) << shift;
+                if (x >> 32) % 3 < 2 {
+                    let got = c.lookup(key);
+                    let want = r.lookup(key);
+                    match (got, want) {
+                        (CmtLookup::Hit(a), Some(b)) => {
+                            assert_eq!(a, b, "shift {shift} step {step}")
+                        }
+                        (CmtLookup::Miss, None) => {}
+                        other => panic!("shift {shift} step {step}: divergence {other:?}"),
+                    }
+                } else {
+                    c.insert(key, step as u32);
+                    r.insert(key, step as u32);
+                }
+                assert_eq!(c.keys_mru(), r.q.iter().map(|&(k, _)| k).collect::<Vec<_>>());
+                assert_eq!(c.hits(), r.hits, "shift {shift} step {step}");
+                assert_eq!(c.hits_first_half(), r.hits_first, "shift {shift} step {step}");
+                assert_eq!(c.hits_second_half(), r.hits_second, "shift {shift} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn region_hasher_spreads_aligned_keys() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        // hashbrown picks the bucket from the low bits and the tag from the
+        // top 7: both must vary across keys that share their low bits.
+        let build = BuildHasherDefault::<RegionHasher>::default();
+        for s in [0u32, 4, 6, 12] {
+            let hashes: Vec<u64> = (0..4096u64).map(|i| build.hash_one(i << s)).collect();
+            let low: HashSet<u64> = hashes.iter().map(|h| h & 0xFFF).collect();
+            let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+            assert!(low.len() >= 2048, "shift {s}: {} distinct low-12-bit values", low.len());
+            assert!(tags.len() >= 100, "shift {s}: {} distinct top-7-bit tags", tags.len());
         }
     }
 

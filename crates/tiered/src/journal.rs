@@ -58,13 +58,32 @@ pub struct OpRecord {
 /// The journal: at most one in-flight operation (the engines are
 /// synchronous — an operation either commits before the next one starts or
 /// the machine lost power inside it).
-#[derive(Debug, Clone, Default)]
+///
+/// The journal owns its record buffer: `begin` copies an operation's
+/// updates into it, and `commit` and `rollback` keep the allocation, so a
+/// steady stream of operations journals without touching the heap.
+#[derive(Debug, Clone)]
 pub struct Journal {
-    pending: Option<OpRecord>,
+    /// The latest operation's record; meaningful only while `pending`.
+    record: OpRecord,
+    pending: bool,
     begins: u64,
     commits: u64,
     replays: u64,
     rollbacks: u64,
+}
+
+impl Default for Journal {
+    fn default() -> Self {
+        Self {
+            record: OpRecord { kind: OpKind::Exchange, updates: Vec::new() },
+            pending: false,
+            begins: 0,
+            commits: 0,
+            replays: 0,
+            rollbacks: 0,
+        }
+    }
 }
 
 impl Journal {
@@ -73,30 +92,34 @@ impl Journal {
         Self::default()
     }
 
-    /// Record an operation's intent before its first NVM write. Panics if
-    /// an operation is already in flight (the engines commit before
-    /// starting the next operation).
-    pub fn begin(&mut self, kind: OpKind, updates: Vec<RegionUpdate>) {
-        assert!(self.pending.is_none(), "journal already holds an in-flight operation");
-        self.pending = Some(OpRecord { kind, updates });
+    /// Record an operation's intent before its first NVM write: the
+    /// updates are copied into the journal's own buffer. Panics if an
+    /// operation is already in flight (the engines commit before starting
+    /// the next operation).
+    pub fn begin(&mut self, kind: OpKind, updates: impl AsRef<[RegionUpdate]>) {
+        assert!(!self.pending, "journal already holds an in-flight operation");
+        self.record.kind = kind;
+        self.record.updates.clear();
+        self.record.updates.extend_from_slice(updates.as_ref());
+        self.pending = true;
         self.begins += 1;
     }
 
     /// Mark the in-flight operation complete; its record is discarded.
     pub fn commit(&mut self) {
-        assert!(self.pending.is_some(), "commit without a pending operation");
-        self.pending = None;
+        assert!(self.pending, "commit without a pending operation");
+        self.pending = false;
         self.commits += 1;
     }
 
     /// The in-flight operation, if the last run ended inside one.
     pub fn pending(&self) -> Option<&OpRecord> {
-        self.pending.as_ref()
+        self.pending.then_some(&self.record)
     }
 
     /// Whether an operation is in flight.
     pub fn has_pending(&self) -> bool {
-        self.pending.is_some()
+        self.pending
     }
 
     /// Recovery chose to roll the pending operation forward; the record
@@ -110,8 +133,8 @@ impl Journal {
     /// Recovery chose to roll the pending operation back: nothing of it
     /// landed, so the record is dropped.
     pub fn rollback(&mut self) {
-        assert!(self.pending.is_some(), "rollback without a pending operation");
-        self.pending = None;
+        assert!(self.pending, "rollback without a pending operation");
+        self.pending = false;
         self.rollbacks += 1;
     }
 
@@ -139,7 +162,7 @@ impl Journal {
     /// lifetime counters. The journal models capacitor-backed SRAM, so it
     /// must survive a checkpoint/resume cycle exactly like a power cycle.
     pub fn ckpt_save(&self, w: &mut sawl_ckpt::Writer) {
-        match &self.pending {
+        match self.pending() {
             None => w.put_bool(false),
             Some(rec) => {
                 w.put_bool(true);
@@ -168,7 +191,8 @@ impl Journal {
         &mut self,
         r: &mut sawl_ckpt::Reader<'_>,
     ) -> Result<(), sawl_ckpt::CkptError> {
-        let pending = if r.get_bool()? {
+        let pending = r.get_bool()?;
+        if pending {
             let kind = match r.get_u8()? {
                 0 => OpKind::Merge,
                 1 => OpKind::Split,
@@ -187,18 +211,16 @@ impl Journal {
                     "journal: implausible update count {count}"
                 )));
             }
-            let mut updates = Vec::with_capacity(count as usize);
+            self.record.kind = kind;
+            self.record.updates.clear();
             for _ in 0..count {
                 let base = r.get_u64()?;
                 let prn = r.get_u64()?;
                 let key = r.get_u64()?;
                 let q_log2 = r.get_u8()?;
-                updates.push(RegionUpdate { base, prn, key, q_log2 });
+                self.record.updates.push(RegionUpdate { base, prn, key, q_log2 });
             }
-            Some(OpRecord { kind, updates })
-        } else {
-            None
-        };
+        }
         self.pending = pending;
         self.begins = r.get_u64()?;
         self.commits = r.get_u64()?;
@@ -250,6 +272,22 @@ mod tests {
         assert!(!j.has_pending());
         assert_eq!(j.rollbacks(), 1);
         assert_eq!(j.commits(), 0);
+    }
+
+    #[test]
+    fn a_new_op_reuses_the_buffer_without_stale_updates() {
+        let mut j = Journal::new();
+        j.begin(OpKind::Merge, [upd(0), upd(4), upd(8)]);
+        j.commit();
+        j.begin(OpKind::Exchange, [upd(12)].as_slice());
+        let rec = j.pending().unwrap();
+        assert_eq!(rec.kind, OpKind::Exchange);
+        assert_eq!(rec.updates, vec![upd(12)]);
+        j.rollback();
+        assert!(j.pending().is_none());
+        j.begin(OpKind::Split, vec![upd(16)]);
+        assert_eq!(j.pending().unwrap().kind, OpKind::Split);
+        assert_eq!(j.pending().unwrap().updates, vec![upd(16)]);
     }
 
     #[test]

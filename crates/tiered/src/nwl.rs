@@ -194,10 +194,12 @@ impl Nwl {
         let regions = self.layout.imt_entries;
         let g = self.cfg.granularity;
         let q_log2 = g.trailing_zeros() as u8;
-        let updates = if regions == 1 {
+        let (pair, len) = if regions == 1 {
             // Degenerate single region: re-key in place.
             let ea = self.imt.entry(0);
-            vec![RegionUpdate { base: 0, prn: ea.prn(), key: draw_key(&mut self.rng, g), q_log2 }]
+            let u =
+                RegionUpdate { base: 0, prn: ea.prn(), key: draw_key(&mut self.rng, g), q_log2 };
+            ([u, u], 1)
         } else {
             let mut partner = a;
             while partner == a {
@@ -206,15 +208,17 @@ impl Nwl {
             let b = partner;
             let ea = self.imt.entry(a);
             let eb = self.imt.entry(b);
-            vec![
-                RegionUpdate { base: a, prn: eb.prn(), key: draw_key(&mut self.rng, g), q_log2 },
-                RegionUpdate { base: b, prn: ea.prn(), key: draw_key(&mut self.rng, g), q_log2 },
-            ]
+            let ua =
+                RegionUpdate { base: a, prn: eb.prn(), key: draw_key(&mut self.rng, g), q_log2 };
+            let ub =
+                RegionUpdate { base: b, prn: ea.prn(), key: draw_key(&mut self.rng, g), q_log2 };
+            ([ua, ub], 2)
         };
-        self.journal.begin(OpKind::Exchange, updates.clone());
+        let updates = &pair[..len];
+        self.journal.begin(OpKind::Exchange, updates);
         self.swaps.reset(a as usize);
         self.exchanges += 1;
-        self.apply_exchange(&updates, dev);
+        self.apply_exchange(updates, dev);
         if dev.power_lost() {
             // The journal record stays pending; recovery finishes the swap.
             return;
