@@ -103,23 +103,36 @@ pub trait WearLeveler {
     /// Returns the writes the device applied — its `demand_writes` delta —
     /// so a caller retries exactly the writes a power loss dropped.
     ///
-    /// Batching is defined once, by the quiet-span contract of
-    /// [`quiet_writes`](WearLeveler::quiet_writes) and
-    /// [`note_quiet`](WearLeveler::note_quiet). The default serves one
-    /// scalar `write` (and whatever exchange, gap move or cache miss it
-    /// triggers), then applies the next `quiet_writes(la)` writes as one
-    /// closed-form [`NvmDevice::write_run`] followed by `note_quiet`, and
-    /// repeats. A scheme that certifies quiet spans therefore batches here
-    /// and in the timed driver by construction, without overriding this.
-    ///
-    /// Security Refresh and TLSR are the exception: their overrides serve
-    /// whole refresh rounds as chunks the device proves failure-free
-    /// (demand runs, region sweeps and single swap writes), which the
-    /// scalar-first default cannot (DESIGN.md §10).
+    /// This is the one loop that serves runs; schemes shape it through
+    /// three hooks and do not override it. Each step first offers the
+    /// rest of the run to [`write_chunk`](WearLeveler::write_chunk). When
+    /// the scheme has no chunk to offer, the step serves one scalar
+    /// `write` (and whatever exchange, gap move or cache miss it
+    /// triggers), then applies the next
+    /// [`quiet_writes`](WearLeveler::quiet_writes)`(la)` writes as one
+    /// closed-form [`NvmDevice::write_run`] followed by
+    /// [`note_quiet`](WearLeveler::note_quiet). The writes of a chunk the
+    /// device refused are served by such steps before another chunk is
+    /// planned, so a refusal costs one plan, not one per write. A scheme
+    /// that certifies quiet spans therefore batches here and in the timed
+    /// driver by construction.
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
         let start = dev.wear().demand_writes;
         let mut left = n;
+        // Plan a chunk once no more than this many writes are left, which
+        // moves past a refused chunk's writes.
+        let mut plan_at = n;
         while left > 0 && !dev.is_dead() && !dev.power_lost() {
+            if left <= plan_at {
+                match self.write_chunk(la, left, dev) {
+                    Ok(0) => {}
+                    Ok(w) => {
+                        left -= w;
+                        continue;
+                    }
+                    Err(w) => plan_at = left - w,
+                }
+            }
             self.write(la, dev);
             left -= 1;
             if left == 0 {
@@ -134,6 +147,25 @@ pub trait WearLeveler {
             }
         }
         dev.wear().demand_writes - start
+    }
+
+    /// Serve up to `n` writes to `la` as one *chunk* the device applies
+    /// whole or not at all, for a scheme whose triggers have a closed
+    /// form that a quiet span cannot carry (scheduled overhead writes, an
+    /// RNG draw). Returns:
+    ///
+    /// * `Ok(0)`, changing nothing, when there is no chunk to offer; always
+    ///   when `n <= quiet_writes(la) + 1`, a run one scalar step serves;
+    /// * `Ok(w)`, `1 <= w <= n`, after serving `w` writes exactly as `w`
+    ///   scalar [`write`](WearLeveler::write)s would, none of them fatal;
+    /// * `Err(w)`, changing nothing, when the device refused the `w`-write
+    ///   chunk planned.
+    ///
+    /// Only [`write_run`](WearLeveler::write_run) calls this. The default
+    /// offers no chunk, which suits every scheme that batches through
+    /// quiet spans alone.
+    fn write_chunk(&mut self, _la: La, _n: u64, _dev: &mut NvmDevice) -> Result<u64, u64> {
+        Ok(0)
     }
 
     /// Lower bound on how many *further* consecutive demand writes to `la`
@@ -250,6 +282,10 @@ impl<W: WearLeveler + ?Sized> WearLeveler for Box<W> {
 
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
         (**self).write_run(la, n, dev)
+    }
+
+    fn write_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64> {
+        (**self).write_chunk(la, n, dev)
     }
 
     fn quiet_writes(&self, la: La) -> u64 {

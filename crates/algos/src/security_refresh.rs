@@ -27,22 +27,21 @@
 //! swaps exactly when it is the smaller address of its pair, so a whole
 //! round with `k0 != k1` writes every slot once: one range sweep.
 //!
-//! Both schemes' `write_run` therefore serve a run that crosses a step
-//! trigger as *chunks*. A chunk reaches up to and including the next RNG
-//! draw (a round wrap at either level) and, for TLSR, ends before the
-//! first outer step that would swap into the target's own intermediate
-//! region, which includes any outer remap of the target. Within a chunk
-//! only the target's inner (or single-level) mapping can change, at most
-//! once, so its demand writes are one or two runs. A whole inner round is
-//! one region sweep; partial rounds and outer swaps are single overhead
-//! writes. The device applies the chunk only if it proves no touched line
-//! fails on the way ([`NvmDevice::try_write_chunk`]), which keeps death
-//! ordering exact; it refuses every chunk while a fault plan is armed. A
-//! refused chunk, and a run that ends by the next step trigger, is served
-//! one refresh window at a time instead: the stretch up to and including
-//! the next trigger is one translation and one device run, followed by
-//! the scalar step. The RNG stream, and so every checkpoint byte, matches
-//! the scalar `write` loop.
+//! Both schemes therefore implement [`WearLeveler::write_chunk`], which the
+//! shared `write_run` offers a run that crosses a step trigger. A chunk
+//! reaches up to and including the next RNG draw (a round wrap at either
+//! level) and, for TLSR, ends before the first outer step that would swap
+//! into the target's own intermediate region, which includes any outer
+//! remap of the target. Within a chunk only the target's inner (or
+//! single-level) mapping can change, at most once, so its demand writes
+//! are one or two runs. A whole inner round is one region sweep; partial
+//! rounds and outer swaps are single overhead writes. The device applies
+//! the chunk only if it proves no touched line fails on the way
+//! ([`NvmDevice::try_write_chunk`]), which keeps death ordering exact; it
+//! refuses every chunk while a fault plan is armed. A refused chunk, and a
+//! run that ends by the next step trigger, go through `write_run`'s
+//! scalar steps and quiet spans like any other scheme's. The RNG stream,
+//! and so every checkpoint byte, matches the scalar `write` loop.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -244,56 +243,6 @@ impl ChunkBuf {
     }
 }
 
-/// A refresh scheme that serves runs as chunks, falling back to one
-/// refresh window at a time.
-trait Chunked {
-    /// Serve up to `n` writes to `la` as one chunk the device proves
-    /// failure-free: `Ok` with the writes served, or `Err` with the
-    /// chunk's length (0 when it is empty) when nothing was served.
-    fn try_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64>;
-
-    /// Serve at most `n` writes to `la` up to and including the next step
-    /// trigger: one translation and one device run, then the scalar step.
-    /// Returns the writes applied, and `false` when the run must stop:
-    /// the device died, or it applied less than the window.
-    fn window(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> (u64, bool);
-}
-
-/// `write_run` of a [`Chunked`] scheme. A stretch that ends by the next
-/// step trigger is one window; a longer one is tried as a chunk, and a
-/// chunk the device refuses goes window by window.
-fn write_run_chunked<S: Chunked + WearLeveler>(
-    s: &mut S,
-    la: La,
-    n: u64,
-    dev: &mut NvmDevice,
-) -> u64 {
-    let mut done = 0;
-    while done < n {
-        let left = n - done;
-        let stretch = if left <= s.quiet_writes(la) + 1 {
-            left
-        } else {
-            match s.try_chunk(la, left, dev) {
-                Ok(w) if w > 0 => {
-                    done += w;
-                    continue;
-                }
-                Ok(w) | Err(w) => w.max(1),
-            }
-        };
-        let end = done + stretch;
-        while done < end {
-            let (applied, go_on) = s.window(la, end - done, dev);
-            done += applied;
-            if !go_on {
-                return done;
-            }
-        }
-    }
-    done
-}
-
 /// Single-level Security Refresh as a standalone wear leveler (one SR
 /// region spanning the whole device). Also the building block reused by the
 /// tiered architecture to wear-level the translation lines.
@@ -352,58 +301,6 @@ impl SecurityRefresh {
     }
 }
 
-impl Chunked for SecurityRefresh {
-    /// A chunk runs up to and including the round's wrap (the next RNG
-    /// draw), and takes at most [`CHUNK_STEPS`] steps of a partial round.
-    /// A remap of `la` inside the chunk splits its demand into two runs.
-    fn try_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64> {
-        let (p, wc) = (self.period, self.writes);
-        // Saturating: a product past `u64::MAX` is a distance no run reaches.
-        let wrap = self.sr.steps_to_wrap().saturating_mul(p) - wc;
-        let mut w = n.min(wrap);
-        if !(self.sr.steps_to_wrap() == self.sr.size() && w == wrap) {
-            w = w.min((CHUNK_STEPS + 1).saturating_mul(p) - wc - 1);
-        }
-        let k = (wc + w) / p;
-        let buf = &mut self.buf;
-        buf.clear();
-        let remap = self.sr.next_remap(la).filter(|&(c, _)| c <= k).map(|(c, pa)| (c * p - wc, pa));
-        buf.push_demand(self.sr.map(la), w, remap);
-        if self.sr.swaps_every_slot(k) {
-            buf.sweeps.push((0, self.sr.size()));
-        } else {
-            for (_, s1, s2) in self.sr.swaps(k) {
-                buf.wl.extend([s1, s2]);
-            }
-        }
-        if !buf.apply(dev) {
-            return Err(w);
-        }
-        self.writes = (wc + w) % p;
-        self.refresh_steps += k;
-        self.sr.advance(k, &mut self.rng);
-        Ok(w)
-    }
-
-    fn window(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> (u64, bool) {
-        let window = n.min(self.period - self.writes);
-        let (applied, _) = dev.write_run(self.sr.map(la), window);
-        self.writes += applied;
-        if applied < window {
-            return (applied, false);
-        }
-        if self.writes >= self.period {
-            self.writes = 0;
-            self.refresh_steps += 1;
-            if let Some((s1, s2)) = self.sr.step(&mut self.rng) {
-                dev.write_wl(s1);
-                dev.write_wl(s2);
-            }
-        }
-        (applied, !dev.is_dead())
-    }
-}
-
 impl WearLeveler for SecurityRefresh {
     fn name(&self) -> &'static str {
         "sr"
@@ -447,8 +344,39 @@ impl WearLeveler for SecurityRefresh {
         self.writes += k;
     }
 
-    fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
-        write_run_chunked(self, la, n, dev)
+    /// A chunk runs up to and including the round's wrap (the next RNG
+    /// draw), and takes at most [`CHUNK_STEPS`] steps of a partial round.
+    /// A remap of `la` inside the chunk splits its demand into two runs.
+    fn write_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64> {
+        if n <= self.quiet_writes(la) + 1 {
+            return Ok(0);
+        }
+        let (p, wc) = (self.period, self.writes);
+        // Saturating: a product past `u64::MAX` is a distance no run reaches.
+        let wrap = self.sr.steps_to_wrap().saturating_mul(p) - wc;
+        let mut w = n.min(wrap);
+        if !(self.sr.steps_to_wrap() == self.sr.size() && w == wrap) {
+            w = w.min((CHUNK_STEPS + 1).saturating_mul(p) - wc - 1);
+        }
+        let k = (wc + w) / p;
+        let buf = &mut self.buf;
+        buf.clear();
+        let remap = self.sr.next_remap(la).filter(|&(c, _)| c <= k).map(|(c, pa)| (c * p - wc, pa));
+        buf.push_demand(self.sr.map(la), w, remap);
+        if self.sr.swaps_every_slot(k) {
+            buf.sweeps.push((0, self.sr.size()));
+        } else {
+            for (_, s1, s2) in self.sr.swaps(k) {
+                buf.wl.extend([s1, s2]);
+            }
+        }
+        if !buf.apply(dev) {
+            return Err(w);
+        }
+        self.writes = (wc + w) % p;
+        self.refresh_steps += k;
+        self.sr.advance(k, &mut self.rng);
+        Ok(w)
     }
 
     fn onchip_bits(&self) -> u64 {
@@ -588,104 +516,6 @@ impl Tlsr {
     }
 }
 
-impl Chunked for Tlsr {
-    /// A chunk runs up to and including the next RNG draw (a round wrap
-    /// at either level), and ends before the first outer step that would
-    /// swap into `la`'s intermediate region (which includes any outer
-    /// remap of `la`). Each level takes at most [`CHUNK_STEPS`] steps of a
-    /// partial round; a whole inner round is one sweep of the region. A
-    /// remap of `la`'s offset inside the chunk splits its demand into two
-    /// runs.
-    fn try_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64> {
-        let (ip, op) = (self.inner_period, self.outer_period);
-        let intermediate = self.outer.map(la);
-        let region = self.geo.region_of(intermediate);
-        let iw = u64::from(self.inner_writes[region as usize]);
-        let ow = self.outer_writes;
-        let inner = &self.inner[region as usize];
-        // Saturating: a product past `u64::MAX` is a distance no run reaches.
-        let inner_wrap = inner.steps_to_wrap().saturating_mul(ip) - iw;
-        let mut w = n
-            .min(inner_wrap)
-            .min(self.outer.steps_to_wrap().saturating_mul(op) - ow)
-            .min((CHUNK_STEPS + 1).saturating_mul(op) - ow - 1);
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        if let Some(s) = self.gather_outer_swaps((ow + w) / op, region, &mut buf.wl) {
-            w = s * op - ow - 1;
-        }
-        if !(inner.steps_to_wrap() == inner.size() && w == inner_wrap) {
-            let capped = w.min((CHUNK_STEPS + 1).saturating_mul(ip) - iw - 1);
-            if capped < w {
-                // Only regions of more than `CHUNK_STEPS + 1` lines get here.
-                w = capped;
-                buf.wl.clear();
-                self.gather_outer_swaps((ow + w) / op, region, &mut buf.wl);
-            }
-        }
-        if w == 0 {
-            self.buf = buf;
-            return Err(0);
-        }
-        let (ki, ko) = ((iw + w) / ip, (ow + w) / op);
-        let off = self.geo.offset_of(intermediate);
-        let remap = inner
-            .next_remap(off)
-            .filter(|&(c, _)| c <= ki)
-            .map(|(c, o)| (c * ip - iw, self.geo.combine(region, o)));
-        buf.push_demand(self.geo.combine(region, inner.map(off)), w, remap);
-        if inner.swaps_every_slot(ki) {
-            buf.sweeps.push((self.geo.combine(region, 0), inner.size()));
-        } else {
-            for (_, o1, o2) in inner.swaps(ki) {
-                buf.wl.extend([self.geo.combine(region, o1), self.geo.combine(region, o2)]);
-            }
-        }
-        let applied = buf.apply(dev);
-        self.buf = buf;
-        if !applied {
-            return Err(w);
-        }
-        // At most the chunk's last write draws, inner level first.
-        self.inner[region as usize].advance(ki, &mut self.rng);
-        self.inner_writes[region as usize] = ((iw + w) % ip) as u32;
-        self.outer.advance(ko, &mut self.rng);
-        self.outer_writes = (ow + w) % op;
-        Ok(w)
-    }
-
-    fn window(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> (u64, bool) {
-        let intermediate = self.outer.map(la);
-        let region = self.geo.region_of(intermediate) as usize;
-        let off = self.geo.offset_of(intermediate);
-        let pa = self.geo.combine(region as u64, self.inner[region].map(off));
-        let inner_gap = self.inner_period - u64::from(self.inner_writes[region]);
-        let outer_gap = self.outer_period - self.outer_writes;
-        let window = n.min(inner_gap.min(outer_gap));
-        let (applied, _) = dev.write_run(pa, window);
-        self.inner_writes[region] += applied as u32;
-        self.outer_writes += applied;
-        if applied < window {
-            return (applied, false);
-        }
-        if u64::from(self.inner_writes[region]) >= self.inner_period {
-            self.inner_writes[region] = 0;
-            if let Some((o1, o2)) = self.inner[region].step(&mut self.rng) {
-                dev.write_wl(self.geo.combine(region as u64, o1));
-                dev.write_wl(self.geo.combine(region as u64, o2));
-            }
-        }
-        if self.outer_writes >= self.outer_period {
-            self.outer_writes = 0;
-            if let Some((i1, i2)) = self.outer.step(&mut self.rng) {
-                dev.write_wl(self.inner_map(i1));
-                dev.write_wl(self.inner_map(i2));
-            }
-        }
-        (applied, !dev.is_dead())
-    }
-}
-
 impl WearLeveler for Tlsr {
     fn name(&self) -> &'static str {
         "tlsr"
@@ -750,8 +580,73 @@ impl WearLeveler for Tlsr {
         self.outer_writes += k;
     }
 
-    fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
-        write_run_chunked(self, la, n, dev)
+    /// A chunk runs up to and including the next RNG draw (a round wrap
+    /// at either level), and ends before the first outer step that would
+    /// swap into `la`'s intermediate region (which includes any outer
+    /// remap of `la`). Each level takes at most [`CHUNK_STEPS`] steps of a
+    /// partial round; a whole inner round is one sweep of the region. A
+    /// remap of `la`'s offset inside the chunk splits its demand into two
+    /// runs.
+    fn write_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64> {
+        if n <= self.quiet_writes(la) + 1 {
+            return Ok(0);
+        }
+        let (ip, op) = (self.inner_period, self.outer_period);
+        let intermediate = self.outer.map(la);
+        let region = self.geo.region_of(intermediate);
+        let iw = u64::from(self.inner_writes[region as usize]);
+        let ow = self.outer_writes;
+        let inner = &self.inner[region as usize];
+        // Saturating: a product past `u64::MAX` is a distance no run reaches.
+        let inner_wrap = inner.steps_to_wrap().saturating_mul(ip) - iw;
+        let mut w = n
+            .min(inner_wrap)
+            .min(self.outer.steps_to_wrap().saturating_mul(op) - ow)
+            .min((CHUNK_STEPS + 1).saturating_mul(op) - ow - 1);
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        if let Some(s) = self.gather_outer_swaps((ow + w) / op, region, &mut buf.wl) {
+            w = s * op - ow - 1;
+        }
+        if !(inner.steps_to_wrap() == inner.size() && w == inner_wrap) {
+            let capped = w.min((CHUNK_STEPS + 1).saturating_mul(ip) - iw - 1);
+            if capped < w {
+                // Only regions of more than `CHUNK_STEPS + 1` lines get here.
+                w = capped;
+                buf.wl.clear();
+                self.gather_outer_swaps((ow + w) / op, region, &mut buf.wl);
+            }
+        }
+        if w == 0 {
+            // The next write is an outer trigger that swaps into `la`'s region.
+            self.buf = buf;
+            return Ok(0);
+        }
+        let (ki, ko) = ((iw + w) / ip, (ow + w) / op);
+        let off = self.geo.offset_of(intermediate);
+        let remap = inner
+            .next_remap(off)
+            .filter(|&(c, _)| c <= ki)
+            .map(|(c, o)| (c * ip - iw, self.geo.combine(region, o)));
+        buf.push_demand(self.geo.combine(region, inner.map(off)), w, remap);
+        if inner.swaps_every_slot(ki) {
+            buf.sweeps.push((self.geo.combine(region, 0), inner.size()));
+        } else {
+            for (_, o1, o2) in inner.swaps(ki) {
+                buf.wl.extend([self.geo.combine(region, o1), self.geo.combine(region, o2)]);
+            }
+        }
+        let applied = buf.apply(dev);
+        self.buf = buf;
+        if !applied {
+            return Err(w);
+        }
+        // At most the chunk's last write draws, inner level first.
+        self.inner[region as usize].advance(ki, &mut self.rng);
+        self.inner_writes[region as usize] = ((iw + w) % ip) as u32;
+        self.outer.advance(ko, &mut self.rng);
+        self.outer_writes = (ow + w) % op;
+        Ok(w)
     }
 
     fn onchip_bits(&self) -> u64 {

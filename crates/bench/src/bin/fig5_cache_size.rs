@@ -5,12 +5,14 @@
 //! so the SRAM budget caps the affordable region count: regions = budget ×
 //! 8 / entry bits. MWSR entries are roughly twice PCM-S entries (two
 //! placements + counter), so the same budget affords it half the regions —
-//! that is why the paper finds MWSR below PCM-S here.
+//! that is why the paper finds MWSR below PCM-S here. At this device's
+//! 2^16 lines the entries are 36 and 52 bits, and rounding the count down
+//! to a power of two gives both schemes the same regions at every budget.
 //!
 //! Cache budgets are scaled with the device (DESIGN.md §4): the device is
 //! 2^28/2^16 = 4096× smaller than the paper's, so the paper's 64KB–4MB
-//! x-axis becomes 16B–1KB; we sweep 64B–4KB and print the paper-equivalent
-//! label.
+//! x-axis becomes 16B–1KB; we sweep 64B–32KB (paper-equivalent
+//! 256KB–128MB) and print the paper-equivalent label.
 
 use sawl_bench::{
     bpa, device, paper_note, Figure, ENDURANCE_1E5_CLASS, ENDURANCE_1E6_CLASS, LIFETIME_LINES,

@@ -217,11 +217,11 @@ pub fn pump_observed<W, S, F>(
 /// The workload is drained at *run* granularity
 /// ([`AddressStream::fill_runs`]): each run of consecutive writes to the
 /// same logical address is handed to [`WearLeveler::write_run`] as one
-/// call — letting every scheme that certifies quiet spans (RBSG, segment
-/// swapping, PCM-S, MWSR, NWL, SAWL through the default `write_run`;
-/// security refresh and TLSR through their window overrides) collapse the
-/// run into counter arithmetic, and letting run-structured generators
-/// (BPA, RAA) skip materializing the request sequence entirely.
+/// call — letting every scheme collapse the run into counter arithmetic
+/// through the one `write_run` loop (certified quiet spans, plus
+/// failure-free chunks for security refresh and TLSR), and letting
+/// run-structured generators (BPA, RAA) skip materializing the request
+/// sequence entirely.
 /// `write_run` is bit-equivalent to the scalar loop, so the request
 /// sequence every scheme observes — and the resulting device state — is
 /// bit-identical to the per-request loop; the scenario equivalence tests

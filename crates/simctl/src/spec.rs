@@ -426,6 +426,10 @@ impl WearLeveler for SchemeInstance {
         dispatch!(self, w => w.write_run(la, n, dev))
     }
 
+    fn write_chunk(&mut self, la: sawl_nvm::La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64> {
+        dispatch!(self, w => w.write_chunk(la, n, dev))
+    }
+
     #[inline]
     fn quiet_writes(&self, la: sawl_nvm::La) -> u64 {
         dispatch!(self, w => w.quiet_writes(la))

@@ -1,10 +1,11 @@
 //! The quiet-span batching contract, checked directly.
 //!
-//! `WearLeveler::write_run`'s default batches through two hooks:
-//! `quiet_writes(la)` certifies how many further writes to `la` are quiet,
-//! and `note_quiet(la, k)` advances the scheme as if `k` of them had been
-//! served. These tests pin that contract at three levels, and check the
-//! refresh schemes' own batching beside it:
+//! `WearLeveler::write_run`, the one loop that serves runs, batches
+//! through three hooks: `quiet_writes(la)` certifies how many further
+//! writes to `la` are quiet, `note_quiet(la, k)` advances the scheme as if
+//! `k` of them had been served, and `write_chunk(la, n)` lets a refresh
+//! scheme serve a stretch across its triggers as one failure-free chunk.
+//! These tests pin that contract:
 //!
 //! * **soundness** — from random reachable states of every scheme, `k =
 //!   quiet_writes(la)` scalar writes are quiet (stable translation, no
@@ -15,10 +16,13 @@
 //! * **equivalence** — the schemes that batch only through the default
 //!   (RBSG, Segment Swapping, NWL) match the scalar loop across dwells
 //!   around their trigger period, untimed and timed;
-//! * **refresh chunks** — Security Refresh and TLSR, which override
-//!   `write_run` with chunks the device proves failure-free, match the
-//!   scalar loop byte for byte from random reachable states, one step
-//!   before a round wrap, and next to failing lines and spare exhaustion.
+//! * **refresh chunks** — Security Refresh and TLSR, whose `write_chunk`
+//!   serves chunks the device proves failure-free, match the scalar loop
+//!   byte for byte from random reachable states, one step before a round
+//!   wrap, and next to failing lines and spare exhaustion;
+//! * **all or nothing** — one `write_chunk` offer either serves `w` writes
+//!   exactly as `w` scalar writes would, or (refused, or declined because
+//!   the run ends by the next trigger) changes no scheme or device byte.
 
 use proptest::prelude::*;
 use sawl_algos::WearLeveler;
@@ -298,7 +302,7 @@ fn newly_batched_timed_runs_match_the_scalar_serve_path() {
     }
 }
 
-/// The refresh schemes, whose `write_run` serves chunks, each with the
+/// The refresh schemes, whose `write_chunk` serves chunks, each with the
 /// logical lines it runs over: geometries with long rounds, rounds shorter
 /// than a dwell, an inner period of 1, and regions long enough that a
 /// chunk stops at the cap on a partial inner round (more than 257 lines,
@@ -514,6 +518,152 @@ fn refresh_chunks_match_scalar_writes_when_rounds_outlast_u64() {
                     check_chunked_run(&scheme, LINES, 5, &[(9, 300)], 9, edit, &[(0, 2)], 2, 40);
                 }
             }
+        }
+    }
+}
+
+/// A device setup for one `write_chunk` offer.
+#[derive(Debug, Clone, Copy)]
+enum ChunkDevice {
+    /// No line near failure: most chunks apply.
+    Healthy,
+    /// Chosen lines (not the target's own) 0–2 writes from failure, and
+    /// spares nearly gone: chunks that touch them are refused.
+    NearFailure,
+    /// The target's own line 0–2 writes from failure as well.
+    OwnLineNearFailure,
+    /// A fault plan armed (one power loss no run reaches): every chunk
+    /// is refused.
+    FaultArmed,
+}
+
+/// Drive `scheme` over `lines` logical lines to a reachable state,
+/// optionally edit its refresh state, prepare the device as `setup`
+/// says, then offer one `write_chunk(la, n)` and check its all-or-nothing
+/// rule: `Ok(0)` (always when `n <= quiet_writes(la) + 1`) and `Err` change
+/// no scheme or device byte, and `Ok(w)` equals `w` scalar writes.
+#[allow(clippy::too_many_arguments)]
+fn check_write_chunk(
+    scheme: &SchemeSpec,
+    lines: u64,
+    seed: u64,
+    warmup: &[(u64, u64)],
+    la: u64,
+    edit: Option<Edit>,
+    near: &[(u64, u64)],
+    setup: ChunkDevice,
+    n: u64,
+) {
+    let device = DeviceSpec { endurance: 3_000, banks: 1, ..Default::default() };
+    let (mut wl, mut dev) = build_sized(scheme, &device, seed, lines);
+    for &(target, dwell) in warmup {
+        for _ in 0..dwell {
+            wl.write(target % lines, &mut dev);
+        }
+    }
+    if let Some(e) = edit {
+        edit_refresh_state(&mut wl, scheme, la, e);
+    }
+    let to_failure =
+        |dev: &NvmDevice, pa: u64| u64::from(dev.limit(pa) - dev.write_count(pa) % dev.limit(pa));
+    let own = wl.translate(la);
+    let near_lines = match setup {
+        ChunkDevice::Healthy | ChunkDevice::FaultArmed => &[][..],
+        _ => near,
+    };
+    for &(pa, slack) in near_lines {
+        let pa = pa % lines;
+        if pa != own || matches!(setup, ChunkDevice::OwnLineNearFailure) {
+            let left = to_failure(&dev, pa);
+            dev.write_run(pa, left - 1 - slack.min(left - 1));
+        }
+    }
+    if matches!(setup, ChunkDevice::OwnLineNearFailure) {
+        let left = to_failure(&dev, own);
+        dev.write_run(own, left - 1 - near[0].1.min(left - 1));
+    }
+    assert!(!dev.is_dead());
+    // The scalar reference: an armed device takes no chunk, so it never
+    // needs the plan.
+    let (mut scalar, mut scalar_dev) = fork(scheme, &device, seed, lines, &wl, &dev);
+    if matches!(setup, ChunkDevice::FaultArmed) {
+        let plan = FaultPlan { power_loss_at_writes: vec![u64::MAX], ..Default::default() };
+        dev.install_fault_plan(&plan).unwrap();
+    }
+    if seed.is_multiple_of(3) {
+        dev.enable_wear_probe();
+        scalar_dev.enable_wear_probe();
+    }
+
+    let quiet = wl.quiet_writes(la);
+    let (scheme_before, device_before) = (scheme_bytes(&wl), device_bytes(&dev));
+    let got = wl.write_chunk(la, n, &mut dev);
+    let id = format!("{} la {la} n {n} quiet {quiet} {setup:?} {edit:?}: {got:?}", wl.name());
+    if n <= quiet + 1 {
+        assert_eq!(got, Ok(0), "{id}: a run that ends by the next trigger was chunked");
+    }
+    match got {
+        Ok(0) | Err(_) => {
+            if let Err(w) = got {
+                assert!(0 < w && w <= n, "{id}: refused chunk length");
+            }
+            assert_eq!(scheme_bytes(&wl), scheme_before, "{id}: scheme changed");
+            assert_eq!(device_bytes(&dev), device_before, "{id}: device changed");
+        }
+        Ok(w) => {
+            assert!(w <= n, "{id}: chunk longer than the run");
+            assert!(!matches!(setup, ChunkDevice::FaultArmed), "{id}: armed device took a chunk");
+            for _ in 0..w {
+                scalar.write(la, &mut scalar_dev);
+            }
+            assert!(!scalar_dev.is_dead(), "{id}: a chunk spanned a fatal write");
+            assert_eq!(scheme_bytes(&wl), scheme_bytes(&scalar), "{id}: scheme diverged");
+            assert_eq!(device_bytes(&dev), device_bytes(&scalar_dev), "{id}: device diverged");
+            assert_eq!(dev.wear_snapshot(), scalar_dev.wear_snapshot(), "{id}: wear probe");
+        }
+    }
+    // Single-level SR plans a chunk for every run past the next trigger,
+    // so an armed device must show the refusal itself.
+    if matches!(setup, ChunkDevice::FaultArmed)
+        && matches!(scheme, SchemeSpec::SingleSr { .. })
+        && n > quiet + 1
+    {
+        assert!(got.is_err(), "{id}: an armed device's refusal was not reported");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48 })]
+
+    /// `write_chunk` is all or nothing from random reachable states of
+    /// the refresh schemes, at round edges, next to failing lines and on
+    /// fault-armed devices.
+    #[test]
+    fn write_chunk_is_all_or_nothing_from_random_reachable_states(
+        warmup in prop::collection::vec((any::<u64>(), 1u64..600), 1..12),
+        pick in any::<u64>(),
+        edge in 0u8..3,
+        counter in any::<u64>(),
+        near in prop::collection::vec((any::<u64>(), 0u64..3), 1..12),
+        setup in 0u8..4,
+        n in 1u64..4_000,
+        short in 0u8..2,
+        seed in any::<u64>(),
+    ) {
+        let setup = [
+            ChunkDevice::Healthy,
+            ChunkDevice::NearFailure,
+            ChunkDevice::OwnLineNearFailure,
+            ChunkDevice::FaultArmed,
+        ][usize::from(setup)];
+        // Half the cases offer short runs, around the trigger gate.
+        let n = if short == 0 { 1 + n % 40 } else { n };
+        let la = if pick.is_multiple_of(2) { warmup[warmup.len() - 1].0 } else { pick };
+        let huge = huge_period_schemes().into_iter().map(|s| (s, LINES));
+        for (scheme, lines) in refresh_schemes().into_iter().chain(huge) {
+            let edge = if matches!(scheme, SchemeSpec::SingleSr { .. }) { edge.min(1) } else { edge };
+            let edit = (edge > 0).then_some(Edit { outer: edge == 2, steps_left: 1, counter });
+            check_write_chunk(&scheme, lines, seed, &warmup, la % lines, edit, &near, setup, n);
         }
     }
 }

@@ -16,15 +16,12 @@
 //!   recently used IMT entries. SAWL's split heuristic needs to know
 //!   whether hits land in the hot (first) or cold (second) half of the LRU
 //!   stack, so the cache maintains split hit counters with O(1) updates.
-//! * [`clock`] — a CLOCK (second-chance) cache used by the replacement-
-//!   policy ablation.
 //! * **NWL** ([`nwl`]) — the "naive wear-leveling scheme": this tiered
 //!   architecture at a *fixed* granularity, with PCM-S as the data-exchange
 //!   policy. NWL-4 and NWL-64 are the paper's tiered baselines
 //!   (Figs. 14, 17).
 //! * [`overhead`] — the §4.5 hardware-overhead calculator.
 
-pub mod clock;
 pub mod cmt;
 pub mod gtd;
 pub mod imt;
@@ -33,7 +30,6 @@ pub mod layout;
 pub mod nwl;
 pub mod overhead;
 
-pub use clock::ClockCache;
 pub use cmt::{Cmt, CmtLookup};
 pub use gtd::Gtd;
 pub use imt::{ImtEntry, ImtTable, ENTRIES_PER_TRANSLATION_LINE};
