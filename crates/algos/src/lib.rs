@@ -29,6 +29,7 @@
 //! the logical space — verified by [`verify::check_permutation`] and by
 //! property tests in each module.
 
+mod chunk;
 pub mod exchange;
 pub mod mwsr;
 pub mod nowl;
@@ -152,7 +153,11 @@ pub trait WearLeveler {
     /// Serve up to `n` writes to `la` as one *chunk* the device applies
     /// whole or not at all, for a scheme whose triggers have a closed
     /// form that a quiet span cannot carry (scheduled overhead writes, an
-    /// RNG draw). Returns:
+    /// RNG draw). Security Refresh and TLSR plan chunks across refresh
+    /// steps, MWSR across migration steps and RBSG across gap moves; all
+    /// four gather a chunk's demand runs, overhead sweeps and single
+    /// overhead writes in one shared buffer and offer them to
+    /// [`NvmDevice::try_write_chunk`]. Returns:
     ///
     /// * `Ok(0)`, changing nothing, when there is no chunk to offer; always
     ///   when `n <= quiet_writes(la) + 1`, a run one scalar step serves;
@@ -163,7 +168,7 @@ pub trait WearLeveler {
     ///
     /// Only [`write_run`](WearLeveler::write_run) calls this. The default
     /// offers no chunk, which suits every scheme that batches through
-    /// quiet spans alone.
+    /// quiet spans alone (PCM-S, Segment Swapping, NWL, SAWL).
     fn write_chunk(&mut self, _la: La, _n: u64, _dev: &mut NvmDevice) -> Result<u64, u64> {
         Ok(0)
     }

@@ -21,11 +21,16 @@
 //! the paper's §2.2 item 4 and Fig. 5, is the *metadata*: two placements
 //! and two keys per region roughly double the per-entry storage, so a fixed
 //! on-chip cache affords MWSR only half as many regions as PCM-S.
+//!
+//! A run that crosses migration steps is served as failure-free chunks
+//! through [`WearLeveler::write_chunk`], each reaching to the end of one
+//! migration (see the method's doc).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sawl_nvm::{La, NvmDevice, Pa, WriteOutcome};
 
+use crate::chunk::ChunkBuf;
 use crate::region::RegionGeometry;
 use crate::WearLeveler;
 
@@ -63,6 +68,7 @@ pub struct Mwsr {
     /// spare would ping-pong a hot region between two physical locations.
     rotate_next: bool,
     rr_victim: u32,
+    buf: ChunkBuf,
 }
 
 impl Mwsr {
@@ -95,6 +101,7 @@ impl Mwsr {
             migrations_completed: 0,
             rotate_next: false,
             rr_victim: 0,
+            buf: ChunkBuf::default(),
         }
     }
 
@@ -161,10 +168,12 @@ impl Mwsr {
         let migrations_completed = r.get_u64()?;
         let rotate_next = r.get_bool()?;
         let rr_victim = r.get_u32()?;
-        // One spare region: valid prns span [0, regions].
+        // One spare region: valid prns span [0, regions]. A counter at the
+        // period has already triggered, so no write leaves it there.
         if cur.iter().any(|p| u64::from(p.prn) > regions)
             || u64::from(spare) > regions
             || ctr.len() != regions as usize
+            || ctr.iter().any(|&c| u64::from(c) >= self.period)
             || u64::from(rr_victim) >= regions
         {
             return Err(sawl_ckpt::CkptError::Corrupt("mwsr: placement state malformed".into()));
@@ -236,14 +245,19 @@ impl Mwsr {
         dev.write_wl(self.place(self.next, off));
         self.migrated += 1;
         if self.migrated == self.geo.region_lines() {
-            // Migration complete: the old placement's region becomes spare.
-            let old = self.cur[lrn as usize];
-            self.cur[lrn as usize] = self.next;
-            self.spare = old.prn;
-            self.active = None;
-            self.ctr[lrn as usize] = 0;
-            self.migrations_completed += 1;
+            self.complete_migration(lrn);
         }
+    }
+
+    /// The last line of `lrn`'s migration has landed: its old placement's
+    /// region becomes the spare.
+    fn complete_migration(&mut self, lrn: u32) {
+        let old = self.cur[lrn as usize];
+        self.cur[lrn as usize] = self.next;
+        self.spare = old.prn;
+        self.active = None;
+        self.ctr[lrn as usize] = 0;
+        self.migrations_completed += 1;
     }
 }
 
@@ -292,6 +306,68 @@ impl WearLeveler for Mwsr {
 
     fn note_quiet(&mut self, la: La, k: u64) {
         self.ctr[self.geo.region_of(la) as usize] += k as u32;
+    }
+
+    /// A chunk runs to the end of the migration in flight or, with the
+    /// engine idle, of the one its first trigger starts (the only RNG
+    /// draw, taken on a copy of the RNG that is kept only if the device
+    /// applies the chunk), and ends before the trigger that would start
+    /// the next. The migrating lines' new homes are one sweep of the spare
+    /// region for a whole migration and single writes otherwise. When the
+    /// target's own region migrates, its line moves at the step that
+    /// carries its offset, so its demand is at most two runs.
+    fn write_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64> {
+        if n <= self.quiet_writes(la) + 1 {
+            return Ok(0);
+        }
+        let (p, s) = (self.period, self.geo.region_lines());
+        let lrn = self.geo.region_of(la) as u32;
+        let off = self.geo.offset_of(la);
+        let c0 = u64::from(self.ctr[lrn as usize]);
+        let (target, next, m0, rng) = match self.active {
+            Some(a) => (a, self.next, self.migrated, None),
+            None => {
+                let mut rng = self.rng.clone();
+                let key = (rng.random::<u64>() & (s - 1)) as u32;
+                let target = if self.rotate_next { self.rr_victim } else { lrn };
+                (target, Placement { prn: self.spare, key }, 0, Some(rng))
+            }
+        };
+        // Saturating: a product past `u64::MAX` is a distance no run reaches.
+        let w = n.min((s - m0 + 1).saturating_mul(p) - c0 - 1);
+        let k = (c0 + w) / p;
+        // Step `i` moves offset `m0 + i - 1`; its trigger write still lands
+        // on the old line.
+        let remap = (target == lrn && off >= m0 && off - m0 < k)
+            .then(|| ((off - m0 + 1) * p - c0, self.place(next, off)));
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        buf.push_demand(self.translate(la), w, remap);
+        if k == s {
+            buf.sweeps.push((u64::from(next.prn) * s, s));
+        } else {
+            buf.wl.extend((m0..m0 + k).map(|o| self.place(next, o)));
+        }
+        let applied = buf.apply(dev);
+        self.buf = buf;
+        if !applied {
+            return Err(w);
+        }
+        if let Some(r) = rng {
+            self.rng = r;
+            if self.rotate_next {
+                self.rr_victim = (self.rr_victim + 1) % self.geo.regions() as u32;
+            }
+            self.rotate_next = !self.rotate_next;
+            self.next = next;
+            self.active = Some(target);
+        }
+        self.migrated = m0 + k;
+        if self.migrated == s {
+            self.complete_migration(target);
+        }
+        self.ctr[lrn as usize] = ((c0 + w) % p) as u32;
+        Ok(w)
     }
 
     fn onchip_bits(&self) -> u64 {
@@ -465,5 +541,19 @@ mod tests {
         let mut w2 = sawl_ckpt::Writer::new();
         twin.ckpt_save(&mut w2);
         assert_eq!(payload, w2.into_payload(), "restore lost state");
+    }
+
+    #[test]
+    fn ckpt_restore_rejects_a_counter_at_the_period() {
+        // Such a counter would have triggered; a chunk planned from it
+        // would count its distance to the next trigger below zero.
+        let mut wl = Mwsr::new(256, 16, 8, 4);
+        wl.ctr[3] = 8;
+        let mut w = sawl_ckpt::Writer::new();
+        wl.ckpt_save(&mut w);
+        let payload = w.into_payload();
+        let mut twin = Mwsr::new(256, 16, 8, 4);
+        let err = twin.ckpt_restore(&mut sawl_ckpt::Reader::new(&payload)).unwrap_err();
+        assert!(matches!(err, sawl_ckpt::CkptError::Corrupt(_)), "{err}");
     }
 }

@@ -28,7 +28,8 @@
 //! round with `k0 != k1` writes every slot once: one range sweep.
 //!
 //! Both schemes therefore implement [`WearLeveler::write_chunk`], which the
-//! shared `write_run` offers a run that crosses a step trigger. A chunk
+//! shared `write_run` offers a run that crosses a step trigger, gathering
+//! each chunk's writes in the chunk buffer they share with MWSR and RBSG. A chunk
 //! reaches up to and including the next RNG draw (a round wrap at either
 //! level) and, for TLSR, ends before the first outer step that would swap
 //! into the target's own intermediate region, which includes any outer
@@ -45,8 +46,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sawl_nvm::{La, NvmDevice, Pa, WriteChunk, WriteOutcome};
+use sawl_nvm::{La, NvmDevice, Pa, WriteOutcome};
 
+use crate::chunk::ChunkBuf;
 use crate::region::RegionGeometry;
 use crate::WearLeveler;
 
@@ -203,45 +205,6 @@ impl SrInstance {
 /// Most steps of a partial round one chunk takes at either level, which
 /// bounds the single overhead writes a chunk gathers.
 const CHUNK_STEPS: u64 = 256;
-
-/// The device writes of one chunk, gathered before the device proves them
-/// failure-free. Kept on the scheme so the buffers are reused.
-#[derive(Debug, Clone, Default)]
-struct ChunkBuf {
-    demand: Vec<(Pa, u64)>,
-    sweeps: Vec<(Pa, u64)>,
-    wl: Vec<Pa>,
-}
-
-impl ChunkBuf {
-    fn clear(&mut self) {
-        self.demand.clear();
-        self.sweeps.clear();
-        self.wl.clear();
-    }
-
-    /// The demand writes of a chunk of `w` writes whose demand line `pa`
-    /// moves to `new_pa` after write `j` when `remap` is `Some((j, new_pa))`.
-    fn push_demand(&mut self, pa: Pa, w: u64, remap: Option<(u64, Pa)>) {
-        match remap {
-            Some((j, new_pa)) => {
-                self.demand.push((pa, j));
-                if w > j {
-                    self.demand.push((new_pa, w - j));
-                }
-            }
-            None => self.demand.push((pa, w)),
-        }
-    }
-
-    fn apply(&self, dev: &mut NvmDevice) -> bool {
-        dev.try_write_chunk(&WriteChunk {
-            demand: &self.demand,
-            sweeps: &self.sweeps,
-            wl: &self.wl,
-        })
-    }
-}
 
 /// Single-level Security Refresh as a standalone wear leveler (one SR
 /// region spanning the whole device). Also the building block reused by the

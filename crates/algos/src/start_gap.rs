@@ -18,9 +18,14 @@
 //! region "receives an extremely, disproportionally large number of writes,
 //! and fails in several hours" (§2.2). The `raa_confines_wear_to_one_region`
 //! test shows the failure mode.
+//!
+//! A run that crosses gap moves is served as failure-free chunks of up to
+//! a round of moves through [`WearLeveler::write_chunk`] (see the method's
+//! doc).
 
 use sawl_nvm::{La, NvmDevice, Pa, WriteOutcome};
 
+use crate::chunk::ChunkBuf;
 use crate::WearLeveler;
 
 /// One region's rotation state.
@@ -43,6 +48,7 @@ pub struct StartGap {
     period: u64,
     state: Vec<RegionState>,
     gap_moves: u64,
+    buf: ChunkBuf,
 }
 
 impl StartGap {
@@ -54,7 +60,14 @@ impl StartGap {
         assert!(regions > 0 && region_lines > 0);
         assert!(period > 0, "gap period must be non-zero");
         let init = RegionState { rounds: 0, gap: region_lines, writes: 0 };
-        Self { region_lines, regions, period, state: vec![init; regions as usize], gap_moves: 0 }
+        Self {
+            region_lines,
+            regions,
+            period,
+            state: vec![init; regions as usize],
+            gap_moves: 0,
+            buf: ChunkBuf::default(),
+        }
     }
 
     /// Physical lines the device must provide.
@@ -109,6 +122,13 @@ impl StartGap {
                     "start-gap region {i}: rounds {rounds}, gap {gap}, writes {writes} \
                      out of range (slots {m}, period {})",
                     self.period
+                )));
+            }
+            // The move that brings the gap one slot past its round start
+            // completes the round, so no write leaves it there.
+            if gap == (self.region_lines + rounds + 1) % m {
+                return Err(sawl_ckpt::CkptError::Corrupt(format!(
+                    "start-gap region {i}: gap {gap} one slot past round {rounds}'s start"
                 )));
             }
             state.push(RegionState { rounds, gap, writes });
@@ -206,6 +226,52 @@ impl WearLeveler for StartGap {
 
     fn note_quiet(&mut self, la: La, k: u64) {
         self.state[(la / self.region_lines) as usize].writes += k;
+    }
+
+    /// A chunk takes at most `slots - 1` gap moves, so each move writes a
+    /// distinct slot, and ends before the trigger of the next one. The
+    /// destinations descend from the gap: one sweep, or two when they wrap
+    /// past slot 0. The target's line moves once, into the slot above it,
+    /// at the move that copies from its slot, so its demand is at most two
+    /// runs.
+    fn write_chunk(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> Result<u64, u64> {
+        if n <= self.quiet_writes(la) + 1 {
+            return Ok(0);
+        }
+        let (p, m) = (self.period, self.slots());
+        let region = la / self.region_lines;
+        let st = self.state[region as usize];
+        // Saturating: a product past `u64::MAX` is a distance no run reaches.
+        let w = n.min(m.saturating_mul(p) - st.writes - 1);
+        let k = (st.writes + w) / p;
+        let base = region * m;
+        let slot = self.slot_of(&st, la % self.region_lines);
+        // Move `j` copies slot `gap - j` into slot `gap - j + 1` (mod m).
+        let j = (st.gap + m - slot) % m;
+        let remap = (j <= k).then(|| (j * p - st.writes, base + (slot + 1) % m));
+        let buf = &mut self.buf;
+        buf.clear();
+        buf.push_demand(base + slot, w, remap);
+        if k <= st.gap + 1 {
+            buf.sweeps.push((base + st.gap + 1 - k, k));
+        } else {
+            let wrapped = k - (st.gap + 1);
+            buf.sweeps.extend([(base, st.gap + 1), (base + m - wrapped, wrapped)]);
+        }
+        if !buf.apply(dev) {
+            return Err(w);
+        }
+        // The round completes at the move that takes it to `slots - 1`
+        // moves since its start; `k < slots` moves complete at most one.
+        let done = (self.round_start_gap(&st) + m - st.gap) % m;
+        let st = &mut self.state[region as usize];
+        if done + k >= self.region_lines {
+            st.rounds = (st.rounds + 1) % m;
+        }
+        st.gap = (st.gap + m - k) % m;
+        st.writes = (st.writes + w) % p;
+        self.gap_moves += k;
+        Ok(w)
     }
 
     fn onchip_bits(&self) -> u64 {
@@ -372,6 +438,20 @@ mod tests {
         assert!(d.power_lost());
         assert_eq!(d.wear().demand_writes, 10);
         assert_eq!(wl.gap_moves(), 0);
+    }
+
+    #[test]
+    fn ckpt_restore_rejects_a_gap_no_write_reaches() {
+        // One slot past the round's start, the move that put the gap there
+        // would have completed the round.
+        let mut wl = StartGap::new(2, 8, 4);
+        wl.state[1] = RegionState { rounds: 3, gap: (8 + 3 + 1) % 9, writes: 0 };
+        let mut w = sawl_ckpt::Writer::new();
+        wl.ckpt_save(&mut w);
+        let payload = w.into_payload();
+        let mut twin = StartGap::new(2, 8, 4);
+        let err = twin.ckpt_restore(&mut sawl_ckpt::Reader::new(&payload)).unwrap_err();
+        assert!(matches!(err, sawl_ckpt::CkptError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -216,12 +216,22 @@ impl SchemeSpec {
     /// Reject the parameters a scheme constructor would panic on: zero
     /// periods, region splits that are not powers of two within the
     /// logical space, RBSG geometry that does not cover it, and a TLSR
-    /// inner period past its 32-bit per-region counters.
+    /// inner period or an MWSR period past its 32-bit per-region counters.
     fn validate(&self, data_lines: u64) -> Result<(), DriverError> {
         let name = self.name();
         let period = |field: &str, value: u64| {
             if value == 0 {
                 return Err(DriverError::Spec(format!("{name}: {field} must be non-zero")));
+            }
+            Ok(())
+        };
+        // A period the scheme counts in 32-bit per-region counters.
+        let counter32 = |field: &str, value: u64| {
+            if value > u64::from(u32::MAX) {
+                return Err(DriverError::Spec(format!(
+                    "{name}: {field} {value} exceeds the 32-bit region counters (at most {})",
+                    u32::MAX
+                )));
             }
             Ok(())
         };
@@ -260,17 +270,16 @@ impl SchemeSpec {
             Self::Tlsr { region_lines, inner_period, outer_period } => {
                 period("inner_period", inner_period)?;
                 period("outer_period", outer_period)?;
-                if inner_period > u64::from(u32::MAX) {
-                    return Err(DriverError::Spec(format!(
-                        "{name}: inner_period {inner_period} exceeds the 32-bit region \
-                         counters (at most {})",
-                        u32::MAX
-                    )));
-                }
+                counter32("inner_period", inner_period)?;
                 regions("region_lines", region_lines)
             }
-            Self::PcmS { region_lines, period: p } | Self::Mwsr { region_lines, period: p } => {
+            Self::PcmS { region_lines, period: p } => {
                 period("period", p)?;
+                regions("region_lines", region_lines)
+            }
+            Self::Mwsr { region_lines, period: p } => {
+                period("period", p)?;
+                counter32("period", p)?;
                 regions("region_lines", region_lines)
             }
         }
@@ -868,6 +877,7 @@ mod tests {
             ),
             (SchemeSpec::PcmS { region_lines: 16, period: 0 }, "period"),
             (SchemeSpec::Mwsr { region_lines: 16, period: 0 }, "period"),
+            (SchemeSpec::Mwsr { region_lines: 16, period: u64::from(u32::MAX) + 1 }, "period"),
             (SchemeSpec::Rbsg { regions: 4, region_lines: 256, period: 0 }, "period"),
             (SchemeSpec::SegmentSwap { segment_lines: 64, swap_period: 0 }, "swap_period"),
         ] {

@@ -3,8 +3,9 @@
 //! `WearLeveler::write_run`, the one loop that serves runs, batches
 //! through three hooks: `quiet_writes(la)` certifies how many further
 //! writes to `la` are quiet, `note_quiet(la, k)` advances the scheme as if
-//! `k` of them had been served, and `write_chunk(la, n)` lets a refresh
-//! scheme serve a stretch across its triggers as one failure-free chunk.
+//! `k` of them had been served, and `write_chunk(la, n)` lets a scheme
+//! with closed-form triggers (SR, TLSR, MWSR, RBSG) serve a stretch across
+//! them as one failure-free chunk.
 //! These tests pin that contract:
 //!
 //! * **soundness** — from random reachable states of every scheme, `k =
@@ -13,8 +14,8 @@
 //!   device byte-identical to one device run plus `note_quiet`;
 //! * **power loss** — `write_run` reports exactly the writes the device
 //!   applied, so a pump retries precisely the writes a power loss dropped;
-//! * **equivalence** — the schemes that batch only through the default
-//!   (RBSG, Segment Swapping, NWL) match the scalar loop across dwells
+//! * **equivalence** — RBSG (quiet spans and chunks), Segment Swapping
+//!   and NWL (quiet spans only) match the scalar loop across dwells
 //!   around their trigger period, untimed and timed;
 //! * **refresh chunks** — Security Refresh and TLSR, whose `write_chunk`
 //!   serves chunks the device proves failure-free, match the scalar loop
@@ -22,7 +23,9 @@
 //!   wrap, and next to failing lines and spare exhaustion;
 //! * **all or nothing** — one `write_chunk` offer either serves `w` writes
 //!   exactly as `w` scalar writes would, or (refused, or declined because
-//!   the run ends by the next trigger) changes no scheme or device byte.
+//!   the run ends by the next trigger) changes no scheme or device byte;
+//!   checked for the refresh schemes and for MWSR's and RBSG's chunk
+//!   plans across migration steps and gap moves.
 
 use proptest::prelude::*;
 use sawl_algos::WearLeveler;
@@ -227,9 +230,9 @@ fn scalar_writes(wl: &mut SchemeInstance, dev: &mut NvmDevice, stream: &mut dyn 
     }
 }
 
-/// The schemes that batch only through the default `write_run`, each
-/// paired with its trigger period: the demand writes to one region (or
-/// segment) from one exchange or gap move to the next.
+/// RBSG, Segment Swapping and NWL, each paired with its trigger period:
+/// the demand writes to one region (or segment) from one exchange or gap
+/// move to the next.
 fn newly_batched() -> Vec<(SchemeSpec, u64)> {
     vec![
         (SchemeSpec::Rbsg { regions: 4, region_lines: 128, period: 64 }, 64),
@@ -540,8 +543,7 @@ enum ChunkDevice {
 /// Drive `scheme` over `lines` logical lines to a reachable state,
 /// optionally edit its refresh state, prepare the device as `setup`
 /// says, then offer one `write_chunk(la, n)` and check its all-or-nothing
-/// rule: `Ok(0)` (always when `n <= quiet_writes(la) + 1`) and `Err` change
-/// no scheme or device byte, and `Ok(w)` equals `w` scalar writes.
+/// rule (see [`offer_one_chunk`]).
 #[allow(clippy::too_many_arguments)]
 fn check_write_chunk(
     scheme: &SchemeSpec,
@@ -564,6 +566,51 @@ fn check_write_chunk(
     if let Some(e) = edit {
         edit_refresh_state(&mut wl, scheme, la, e);
     }
+    let near: Vec<(u64, u64)> = near.iter().map(|&(pa, slack)| (pa % lines, slack)).collect();
+    let (got, quiet) = offer_one_chunk(
+        scheme,
+        lines,
+        seed,
+        &device,
+        wl,
+        dev,
+        la,
+        &near,
+        setup,
+        n,
+        &format!("{edit:?}"),
+    );
+    // Single-level SR plans a chunk for every run past the next trigger,
+    // so an armed device must show the refusal itself.
+    if matches!(setup, ChunkDevice::FaultArmed)
+        && matches!(scheme, SchemeSpec::SingleSr { .. })
+        && n > quiet + 1
+    {
+        assert!(got.is_err(), "{}: an armed device's refusal was not reported", scheme.name());
+    }
+}
+
+/// Prepare `dev` as `setup` says (the physical lines `near` and, for
+/// `OwnLineNearFailure`, the target's own line 0–2 writes from failure; a
+/// fault plan for `FaultArmed`), then offer one `write_chunk(la, n)` and
+/// check its all-or-nothing rule: `Ok(0)` (always when `n <=
+/// quiet_writes(la) + 1`) and `Err` change no scheme or device byte, and
+/// `Ok(w)` equals `w` scalar writes. Returns the offer's answer and the
+/// target's quiet writes before it.
+#[allow(clippy::too_many_arguments)]
+fn offer_one_chunk(
+    scheme: &SchemeSpec,
+    lines: u64,
+    seed: u64,
+    device: &DeviceSpec,
+    mut wl: SchemeInstance,
+    mut dev: NvmDevice,
+    la: u64,
+    near: &[(u64, u64)],
+    setup: ChunkDevice,
+    n: u64,
+    state: &str,
+) -> (Result<u64, u64>, u64) {
     let to_failure =
         |dev: &NvmDevice, pa: u64| u64::from(dev.limit(pa) - dev.write_count(pa) % dev.limit(pa));
     let own = wl.translate(la);
@@ -572,7 +619,6 @@ fn check_write_chunk(
         _ => near,
     };
     for &(pa, slack) in near_lines {
-        let pa = pa % lines;
         if pa != own || matches!(setup, ChunkDevice::OwnLineNearFailure) {
             let left = to_failure(&dev, pa);
             dev.write_run(pa, left - 1 - slack.min(left - 1));
@@ -585,7 +631,7 @@ fn check_write_chunk(
     assert!(!dev.is_dead());
     // The scalar reference: an armed device takes no chunk, so it never
     // needs the plan.
-    let (mut scalar, mut scalar_dev) = fork(scheme, &device, seed, lines, &wl, &dev);
+    let (mut scalar, mut scalar_dev) = fork(scheme, device, seed, lines, &wl, &dev);
     if matches!(setup, ChunkDevice::FaultArmed) {
         let plan = FaultPlan { power_loss_at_writes: vec![u64::MAX], ..Default::default() };
         dev.install_fault_plan(&plan).unwrap();
@@ -598,7 +644,7 @@ fn check_write_chunk(
     let quiet = wl.quiet_writes(la);
     let (scheme_before, device_before) = (scheme_bytes(&wl), device_bytes(&dev));
     let got = wl.write_chunk(la, n, &mut dev);
-    let id = format!("{} la {la} n {n} quiet {quiet} {setup:?} {edit:?}: {got:?}", wl.name());
+    let id = format!("{} la {la} n {n} quiet {quiet} {setup:?} {state}: {got:?}", wl.name());
     if n <= quiet + 1 {
         assert_eq!(got, Ok(0), "{id}: a run that ends by the next trigger was chunked");
     }
@@ -622,14 +668,7 @@ fn check_write_chunk(
             assert_eq!(dev.wear_snapshot(), scalar_dev.wear_snapshot(), "{id}: wear probe");
         }
     }
-    // Single-level SR plans a chunk for every run past the next trigger,
-    // so an armed device must show the refusal itself.
-    if matches!(setup, ChunkDevice::FaultArmed)
-        && matches!(scheme, SchemeSpec::SingleSr { .. })
-        && n > quiet + 1
-    {
-        assert!(got.is_err(), "{id}: an armed device's refusal was not reported");
-    }
+    (got, quiet)
 }
 
 proptest! {
@@ -664,6 +703,275 @@ proptest! {
             let edge = if matches!(scheme, SchemeSpec::SingleSr { .. }) { edge.min(1) } else { edge };
             let edit = (edge > 0).then_some(Edit { outer: edge == 2, steps_left: 1, counter });
             check_write_chunk(&scheme, lines, seed, &warmup, la % lines, edit, &near, setup, n);
+        }
+    }
+}
+
+/// The schemes whose `write_chunk` plans across migration steps (MWSR) or
+/// gap moves (RBSG), each with the logical lines it runs over: the
+/// default geometries, Fig. 4's smallest MWSR regions, a period of 1 with
+/// regions long enough that a partial migration is many single writes,
+/// odd RBSG regions, and RBSG regions of one line.
+fn planned_schemes() -> Vec<(SchemeSpec, u64)> {
+    vec![
+        (SchemeSpec::Mwsr { region_lines: 16, period: 32 }, LINES),
+        (SchemeSpec::Mwsr { region_lines: 4, period: 8 }, LINES),
+        (SchemeSpec::Mwsr { region_lines: 128, period: 1 }, LINES),
+        (SchemeSpec::Rbsg { regions: 4, region_lines: 128, period: 64 }, LINES),
+        (SchemeSpec::Rbsg { regions: 8, region_lines: 64, period: 7 }, LINES),
+        (SchemeSpec::Rbsg { regions: 5, region_lines: 103, period: 1 }, 515),
+        (SchemeSpec::Rbsg { regions: 512, region_lines: 1, period: 3 }, LINES),
+    ]
+}
+
+/// A state to move MWSR or RBSG to before a chunk offer. MWSR reads
+/// `engine`, `rotate_next`, `victim_is_target` and `counters`; RBSG reads
+/// `gap`, `left` and `counters`.
+#[derive(Debug, Clone, Copy)]
+struct PlanEdit {
+    /// MWSR: 0 leaves the engine as the warmup left it, 1 drives it idle
+    /// and 2 busy, by scalar writes to the target.
+    engine: u8,
+    /// MWSR: whether the next migration start takes the round-robin turn.
+    rotate_next: bool,
+    /// MWSR: whether the round-robin victim is the target's own region.
+    victim_is_target: bool,
+    /// When `Some`, the target region's trigger counter (modulo the
+    /// period); MWSR also seeds the other regions' counters from it.
+    counters: Option<u64>,
+    /// RBSG: 0 leaves the gap as it is, 1 puts it at slot 0 (a chunk's
+    /// destinations wrap), 2 leaves `left` moves in the round, and 3 does
+    /// both.
+    gap: u8,
+    /// RBSG: moves left in the round for `gap` 2 and 3 (clamped to
+    /// `1..=region_lines`).
+    left: u64,
+}
+
+/// MWSR's engine as its checkpoint shows it: whether a migration is in
+/// flight, and the spare region (the target of the migration in flight
+/// or of the next one).
+fn mwsr_engine(wl: &SchemeInstance) -> (bool, u64) {
+    let bytes = scheme_bytes(wl);
+    let mut r = sawl_ckpt::Reader::new(&bytes);
+    r.get_u8().unwrap();
+    let regions = r.get_u64().unwrap();
+    for _ in 0..2 * regions + 2 {
+        r.get_u32().unwrap();
+    }
+    let busy = r.get_opt_u64().unwrap().is_some();
+    r.get_u64().unwrap();
+    (busy, u64::from(r.get_u32().unwrap()))
+}
+
+/// Apply `e` to MWSR or RBSG serving `la`, through scalar writes to `la`
+/// (MWSR's engine) and edits of the checkpoint's free fields: trigger
+/// counters, the round-robin turn and victim, and RBSG's gap and round.
+fn edit_planned_state(
+    wl: &mut SchemeInstance,
+    dev: &mut NvmDevice,
+    scheme: &SchemeSpec,
+    la: u64,
+    e: PlanEdit,
+) {
+    if let SchemeSpec::Mwsr { .. } = scheme {
+        while e.engine > 0 && mwsr_engine(wl).0 != (e.engine == 2) {
+            wl.write(la, dev);
+        }
+    }
+    let mix =
+        |i: u64| (e.counters.unwrap_or(0) ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).rotate_left(29);
+    let bytes = scheme_bytes(wl);
+    let mut r = sawl_ckpt::Reader::new(&bytes);
+    let mut w = sawl_ckpt::Writer::new();
+    w.put_u8(r.get_u8().unwrap());
+    match *scheme {
+        SchemeSpec::Mwsr { region_lines, period } => {
+            let regions = r.get_u64().unwrap();
+            w.put_u64(regions);
+            for _ in 0..2 * regions + 2 {
+                w.put_u32(r.get_u32().unwrap());
+            }
+            w.put_opt_u64(r.get_opt_u64().unwrap());
+            w.put_u64(r.get_u64().unwrap());
+            w.put_u32(r.get_u32().unwrap());
+            let mut ctr = r.get_u32_vec().unwrap();
+            if let Some(c) = e.counters {
+                for (i, v) in ctr.iter_mut().enumerate() {
+                    *v = (mix(i as u64) % period) as u32;
+                }
+                ctr[(la / region_lines) as usize] = (c % period) as u32;
+            }
+            w.put_u32_slice(&ctr);
+            w.put_rng(r.get_rng().unwrap());
+            w.put_u64(r.get_u64().unwrap());
+            r.get_bool().unwrap();
+            w.put_bool(e.rotate_next);
+            let victim = r.get_u32().unwrap();
+            w.put_u32(if e.victim_is_target { (la / region_lines) as u32 } else { victim });
+        }
+        SchemeSpec::Rbsg { region_lines, period, .. } => {
+            w.put_u64(r.get_u64().unwrap());
+            let regions = r.get_u64().unwrap();
+            w.put_u64(regions);
+            let m = region_lines + 1;
+            for i in 0..regions {
+                let (mut rounds, mut gap, mut writes) =
+                    (r.get_u64().unwrap(), r.get_u64().unwrap(), r.get_u64().unwrap());
+                if i == la / region_lines {
+                    let left = e.left.clamp(1, region_lines);
+                    match e.gap {
+                        // Rounds past 0 keep slot 0 clear of the one gap
+                        // position no write reaches.
+                        1 => (rounds, gap) = (rounds.max(1), 0),
+                        2 => gap = (region_lines + rounds + 1 + left) % m,
+                        3 => (rounds, gap) = (m - left, 0),
+                        _ => {}
+                    }
+                    if let Some(c) = e.counters {
+                        writes = c % period;
+                    }
+                }
+                w.put_u64(rounds);
+                w.put_u64(gap);
+                w.put_u64(writes);
+            }
+        }
+        _ => unreachable!("not a planning scheme"),
+    }
+    let bytes = w.into_payload();
+    let mut r2 = sawl_ckpt::Reader::new(&bytes);
+    wl.ckpt_restore(&mut r2).unwrap();
+    r2.finish().unwrap();
+}
+
+/// Drive `scheme` to a reachable state, apply `edit`, then bring the
+/// `near` lines close to failure — the even-indexed ones inside the lines
+/// a chunk sweeps (MWSR's spare region, the target's RBSG region) — and
+/// offer one `write_chunk(la, n)` (see [`offer_one_chunk`]).
+#[allow(clippy::too_many_arguments)]
+fn check_planned_chunk(
+    scheme: &SchemeSpec,
+    lines: u64,
+    seed: u64,
+    warmup: &[(u64, u64)],
+    la: u64,
+    edit: PlanEdit,
+    near: &[(u64, u64)],
+    setup: ChunkDevice,
+    n: u64,
+) {
+    let device = DeviceSpec { endurance: 3_000, banks: 1, ..Default::default() };
+    let (mut wl, mut dev) = build_sized(scheme, &device, seed, lines);
+    for &(target, dwell) in warmup {
+        for _ in 0..dwell {
+            wl.write(target % lines, &mut dev);
+        }
+    }
+    edit_planned_state(&mut wl, &mut dev, scheme, la, edit);
+    let (zone, span) = match *scheme {
+        SchemeSpec::Mwsr { region_lines, .. } => (mwsr_engine(&wl).1 * region_lines, region_lines),
+        SchemeSpec::Rbsg { region_lines, .. } => {
+            (la / region_lines * (region_lines + 1), region_lines + 1)
+        }
+        _ => unreachable!("not a planning scheme"),
+    };
+    let near: Vec<(u64, u64)> = near
+        .iter()
+        .enumerate()
+        .map(|(i, &(pa, slack))| {
+            (if i % 2 == 0 { zone + pa % span } else { pa % dev.lines() }, slack)
+        })
+        .collect();
+    let (got, quiet) = offer_one_chunk(
+        scheme,
+        lines,
+        seed,
+        &device,
+        wl,
+        dev,
+        la,
+        &near,
+        setup,
+        n,
+        &format!("{edit:?}"),
+    );
+    // Both schemes plan a chunk for every run past the next trigger.
+    if matches!(setup, ChunkDevice::FaultArmed) && n > quiet + 1 {
+        assert!(got.is_err(), "{}: an armed device's refusal was not reported", scheme.name());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48 })]
+
+    /// MWSR's and RBSG's chunks are all or nothing from random reachable
+    /// states: MWSR mid-migration and idle with either round-robin turn
+    /// next, its victim the target's own region, and other regions'
+    /// counters anywhere in their period; RBSG with the gap at slot 0 (so
+    /// a chunk's gap moves wrap) and with its round ending inside the
+    /// chunk. Devices have lines near failure where the chunk writes, a
+    /// fault plan armed, or the wear probe on.
+    #[test]
+    fn planned_chunks_are_all_or_nothing_from_random_reachable_states(
+        warmup in prop::collection::vec((any::<u64>(), 1u64..600), 1..12),
+        pick in any::<u64>(),
+        engine in 0u8..3,
+        rotate_next in any::<bool>(),
+        victim_is_target in any::<bool>(),
+        counters in any::<u64>(),
+        set_counters in any::<bool>(),
+        gap in 0u8..4,
+        left in 1u64..5,
+        near in prop::collection::vec((any::<u64>(), 0u64..3), 1..12),
+        setup in 0u8..4,
+        n in 1u64..4_000,
+        short in 0u8..2,
+        seed in any::<u64>(),
+    ) {
+        let setup = [
+            ChunkDevice::Healthy,
+            ChunkDevice::NearFailure,
+            ChunkDevice::OwnLineNearFailure,
+            ChunkDevice::FaultArmed,
+        ][usize::from(setup)];
+        // Half the cases offer short runs, around the trigger gate.
+        let n = if short == 0 { 1 + n % 40 } else { n };
+        let la = if pick.is_multiple_of(2) { warmup[warmup.len() - 1].0 } else { pick };
+        let counters = set_counters.then_some(counters);
+        let edit = PlanEdit { engine, rotate_next, victim_is_target, counters, gap, left };
+        for (scheme, lines) in planned_schemes() {
+            check_planned_chunk(&scheme, lines, seed, &warmup, la % lines, edit, &near, setup, n);
+        }
+    }
+}
+
+#[test]
+fn planned_chunks_serve_runs_when_periods_are_huge() {
+    // RBSG with a period near `u64::MAX`, where the distance to a chunk's
+    // end overflows `u64`, and MWSR at its 32-bit counter limit: runs that
+    // cross a trigger must be served as one exact chunk, not stall or
+    // overflow.
+    let schemes = [
+        (SchemeSpec::Rbsg { regions: 4, region_lines: 128, period: u64::MAX - 1 }, u64::MAX - 1),
+        (SchemeSpec::Mwsr { region_lines: 16, period: u64::from(u32::MAX) }, u64::from(u32::MAX)),
+    ];
+    for (scheme, period) in schemes {
+        for back in [1u64, 2, 5] {
+            for n in [back, back + 1, 40] {
+                let edit = PlanEdit {
+                    engine: 0,
+                    rotate_next: false,
+                    victim_is_target: false,
+                    counters: Some(period - back),
+                    gap: 0,
+                    left: 1,
+                };
+                for setup in [ChunkDevice::Healthy, ChunkDevice::FaultArmed] {
+                    let near = [(0, 2)];
+                    check_planned_chunk(&scheme, LINES, 5, &[(9, 300)], 9, edit, &near, setup, n);
+                }
+            }
         }
     }
 }

@@ -266,6 +266,48 @@ fn refresh_chunks_match_scalar_on_a_long_lived_device() {
 }
 
 #[test]
+fn planned_chunks_match_scalar_on_a_long_lived_device() {
+    // MWSR plans chunks across its migration steps and RBSG across its gap
+    // moves. Lines live 20 000 writes with Gaussian variation, so dwells
+    // are served as chunks (demand runs, sweeps of the spare region or of
+    // the gap's slots, and single migration writes) and fall back to
+    // scalar steps near failures; runs go both to death and to a cap in
+    // mid-life. Geometries: Fig. 4's MWSR extremes (4- and 1024-line
+    // regions at period 8) and RBSG with odd 315-line regions at period 1,
+    // where every write moves the gap.
+    let cases = [
+        (SchemeSpec::Mwsr { region_lines: 4, period: 8 }, 1u64 << 11, 8_000_003u64),
+        (SchemeSpec::Mwsr { region_lines: 1024, period: 8 }, 1 << 11, 8_000_003),
+        (SchemeSpec::Rbsg { regions: 13, region_lines: 315, period: 1 }, 13 * 315, 5_000_003),
+    ];
+    for (i, (scheme, data_lines, mid_life)) in cases.into_iter().enumerate() {
+        for dwell in [2_048u64, 5_000] {
+            for cap in [0, mid_life] {
+                let exp = LifetimeExperiment {
+                    id: format!("equiv-planned/{i}/{}/{dwell}/{cap}", scheme.name()),
+                    scheme: scheme.clone(),
+                    workload: WorkloadSpec::Bpa { writes_per_target: dwell },
+                    data_lines,
+                    device: DeviceSpec {
+                        endurance: 20_000,
+                        variation: sawl_nvm::EnduranceModel::Gaussian { cov: 0.2 },
+                        ..Default::default()
+                    },
+                    max_demand_writes: cap,
+                    fault: None,
+                    telemetry: None,
+                    timing: None,
+                };
+                let batched = run_lifetime(&exp).unwrap();
+                assert_eq!(batched.device_died, cap == 0, "{}", exp.id);
+                let scalar = scalar_lifetime(&exp);
+                assert_eq!(batched, scalar, "chunked run diverged from scalar for {}", exp.id);
+            }
+        }
+    }
+}
+
+#[test]
 fn batched_lifetime_matches_scalar_reference_at_a_write_cap() {
     // A cap that lands mid-block: the pump must stop within one request
     // of it, exactly like the scalar loop.
