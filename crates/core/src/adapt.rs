@@ -21,7 +21,7 @@
 //!   granularity**. Regions converge to the target *lazily*, on access
 //!   (§3.2's lazy merging and splitting): the controller only answers
 //!   "what should this region do next?" via
-//!   [`AdaptationController::action_for`]; the engine performs the
+//!   [`HitRateAdaptation::action_for`]; the engine performs the
 //!   operation.
 
 use serde::{Deserialize, Serialize};
@@ -335,27 +335,6 @@ pub enum AdaptAction {
     Split,
 }
 
-/// Narrow interface of the adaptation subsystem: what the engine's request
-/// path needs from the controller.
-pub trait AdaptationController {
-    /// Count one request; `true` when a hit-rate sample is now due.
-    fn begin_request(&mut self) -> bool;
-
-    /// Take the due sample from the CMT's LRU-stack counters, record the
-    /// history point, and move the target granularity per the monitor's
-    /// decision. `cached_region_size` / `global_region_size` are the
-    /// mapping-tier observations recorded alongside.
-    fn on_sample(&mut self, cmt: &Cmt<ImtEntry>, cached_region_size: f64, global_region_size: f64);
-
-    /// The lazy step (if any) a touched region of granularity `q_log2`
-    /// should take toward the current target. Honors the merge/split
-    /// enable switches.
-    fn action_for(&self, q_log2: u8) -> Option<AdaptAction>;
-
-    /// The granularity level (log2 lines) the controller currently wants.
-    fn target_q_log2(&self) -> u8;
-}
-
 /// The engine-facing adaptation controller: request counting, LRU-stack
 /// sampling deltas, history recording and target-granularity movement.
 #[derive(Debug, Clone)]
@@ -402,7 +381,6 @@ impl HitRateAdaptation {
         }
     }
 
-    /// Requests observed so far.
     /// Requests until the one that triggers the next monitor sample,
     /// inclusive — so `until_sample() - 1` requests are guaranteed not to
     /// cross a sample boundary.
@@ -414,12 +392,13 @@ impl HitRateAdaptation {
 
     /// Count `k` requests known not to reach a sample boundary (run
     /// batching); equivalent to `k` non-firing
-    /// [`AdaptationController::begin_request`] calls.
+    /// [`HitRateAdaptation::begin_request`] calls.
     #[inline]
     pub fn note_requests(&mut self, k: u64) {
         self.requests += k;
     }
 
+    /// Requests observed so far.
     pub fn requests(&self) -> u64 {
         self.requests
     }
@@ -536,15 +515,23 @@ impl HitRateAdaptation {
         );
         self.target_q_log2 = q_log2;
     }
-}
 
-impl AdaptationController for HitRateAdaptation {
-    fn begin_request(&mut self) -> bool {
+    /// Count one request; `true` when a hit-rate sample is now due.
+    pub fn begin_request(&mut self) -> bool {
         self.requests += 1;
         self.requests.is_multiple_of(self.monitor.sample_interval())
     }
 
-    fn on_sample(&mut self, cmt: &Cmt<ImtEntry>, cached_region_size: f64, global_region_size: f64) {
+    /// Take the due sample from the CMT's LRU-stack counters, record the
+    /// history point, and move the target granularity per the monitor's
+    /// decision. `cached_region_size` / `global_region_size` are the
+    /// mapping-tier observations recorded alongside.
+    pub fn on_sample(
+        &mut self,
+        cmt: &Cmt<ImtEntry>,
+        cached_region_size: f64,
+        global_region_size: f64,
+    ) {
         let first = cmt.hits_first_half();
         let second = cmt.hits_second_half();
         let misses = cmt.misses();
@@ -594,7 +581,10 @@ impl AdaptationController for HitRateAdaptation {
         }
     }
 
-    fn action_for(&self, q_log2: u8) -> Option<AdaptAction> {
+    /// The lazy step (if any) a touched region of granularity `q_log2`
+    /// should take toward the current target. Honors the merge/split
+    /// enable switches.
+    pub fn action_for(&self, q_log2: u8) -> Option<AdaptAction> {
         if q_log2 < self.target_q_log2 && self.enable_merge {
             Some(AdaptAction::Merge)
         } else if q_log2 > self.target_q_log2 && self.enable_split {
@@ -604,7 +594,8 @@ impl AdaptationController for HitRateAdaptation {
         }
     }
 
-    fn target_q_log2(&self) -> u8 {
+    /// The granularity level (log2 lines) the controller currently wants.
+    pub fn target_q_log2(&self) -> u8 {
         self.target_q_log2
     }
 }

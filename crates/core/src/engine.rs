@@ -40,11 +40,11 @@ use sawl_tiered::imt::ImtEntry;
 use sawl_tiered::journal::{Journal, OpKind, RegionUpdate};
 use sawl_tiered::layout::TieredLayout;
 
-use crate::adapt::{AdaptAction, AdaptationController, HitRateAdaptation};
+use crate::adapt::{AdaptAction, HitRateAdaptation};
 use crate::config::{ConfigError, SawlConfig};
-use crate::exchange::{ExchangePolicy, RegionExchange};
+use crate::exchange::RegionExchange;
 use crate::history::History;
-use crate::mapping::{MappingTier, TieredMapping};
+use crate::mapping::TieredMapping;
 
 /// Aggregate statistics of a SAWL run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -25,7 +25,7 @@ use sawl_algos::exchange::{draw_key, SwapCounters};
 use sawl_nvm::NvmDevice;
 use sawl_tiered::journal::RegionUpdate;
 
-use crate::mapping::{MappingTier, TieredMapping};
+use crate::mapping::TieredMapping;
 
 /// A fully planned exchange: every region-descriptor update it will apply
 /// (journal-ready) plus the block geometry the data-movement charges need.
@@ -43,32 +43,6 @@ pub struct ExchangePlan {
     pub target: u64,
     /// Granules per block at the region's granularity.
     pub nq: u64,
-}
-
-/// Narrow interface of the exchange subsystem: wear-triggered relocation
-/// plus the counter bookkeeping that keeps the swapping period meaningful
-/// across granularity changes.
-pub trait ExchangePolicy {
-    /// Count one demand write to the region at `base` (of `region_lines`
-    /// lines); `true` when the region is due for an exchange.
-    fn record_write(&mut self, base: u64, region_lines: u64) -> bool;
-
-    /// Relocate the region at `base` to a random equal-size block,
-    /// displacing that block's occupants into the vacated space.
-    fn exchange(&mut self, mapping: &mut TieredMapping, base: u64, dev: &mut NvmDevice);
-
-    /// Draw a fresh XOR key for a region of `region_lines` lines (used by
-    /// the engine when a merge re-keys the combined region).
-    fn draw_region_key(&mut self, region_lines: u64) -> u64;
-
-    /// Fold the two merging regions' counters into the merged base.
-    fn on_merge(&mut self, base: u64, buddy: u64, new_base: u64);
-
-    /// Halve the splitting region's counter across its children.
-    fn on_split(&mut self, base: u64, half: u64);
-
-    /// Exchanges performed so far.
-    fn exchanges(&self) -> u64;
 }
 
 /// The concrete PCM-S-style exchange policy over granule-indexed counters.
@@ -199,33 +173,40 @@ impl RegionExchange {
         self.exchanges = r.get_u64()?;
         Ok(())
     }
-}
 
-impl ExchangePolicy for RegionExchange {
+    /// Count one demand write to the region at `base` (of `region_lines`
+    /// lines); `true` when the region is due for an exchange.
     #[inline]
-    fn record_write(&mut self, base: u64, region_lines: u64) -> bool {
+    pub fn record_write(&mut self, base: u64, region_lines: u64) -> bool {
         self.swaps.record_write(base as usize, region_lines)
     }
 
-    fn exchange(&mut self, m: &mut TieredMapping, base: u64, dev: &mut NvmDevice) {
+    /// Relocate the region at `base` to a random equal-size block,
+    /// displacing that block's occupants into the vacated space.
+    pub fn exchange(&mut self, m: &mut TieredMapping, base: u64, dev: &mut NvmDevice) {
         self.plan(m, base);
         self.apply(m, dev);
     }
 
+    /// Draw a fresh XOR key for a region of `region_lines` lines (used by
+    /// the engine when a merge re-keys the combined region).
     #[inline]
-    fn draw_region_key(&mut self, region_lines: u64) -> u64 {
+    pub fn draw_region_key(&mut self, region_lines: u64) -> u64 {
         draw_key(&mut self.rng, region_lines)
     }
 
-    fn on_merge(&mut self, base: u64, buddy: u64, new_base: u64) {
+    /// Fold the two merging regions' counters into the merged base.
+    pub fn on_merge(&mut self, base: u64, buddy: u64, new_base: u64) {
         self.swaps.fold_into(base as usize, buddy as usize, new_base as usize);
     }
 
-    fn on_split(&mut self, base: u64, half: u64) {
+    /// Halve the splitting region's counter across its children.
+    pub fn on_split(&mut self, base: u64, half: u64) {
         self.swaps.halve_into(base as usize, half as usize);
     }
 
-    fn exchanges(&self) -> u64 {
+    /// Exchanges performed so far.
+    pub fn exchanges(&self) -> u64 {
         self.exchanges
     }
 }

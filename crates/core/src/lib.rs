@@ -20,18 +20,17 @@
 //! too.
 //!
 //! The engine is a thin composition of three unit-tested subsystems, one
-//! per module, each behind a narrow trait:
+//! concrete type per module:
 //!
-//! * [`mapping`] — the translation state ([`TieredMapping`] behind
-//!   [`MappingTier`]): IMT/CMT/GTD traversal, the owner inverse map, and
-//!   translation-line wear (§3.1, Fig. 11).
-//! * [`adapt`] — the adaptation controller ([`HitRateAdaptation`] behind
-//!   [`AdaptationController`]): windowed hit-rate monitoring, LRU-stack
-//!   sampling and lazy merge/split target decisions (§3.2, §4.2).
-//! * [`exchange`] — the exchange policy ([`RegionExchange`] behind
-//!   [`ExchangePolicy`]): region write counters, XOR-key rotation and
-//!   displaced-region exchange, sharing the PCM-S counter machinery with
-//!   `sawl_algos::exchange` (§2.1).
+//! * [`mapping`] — the translation state ([`TieredMapping`]): IMT/CMT/GTD
+//!   traversal, the owner inverse map, and translation-line wear (§3.1,
+//!   Fig. 11).
+//! * [`adapt`] — the adaptation controller ([`HitRateAdaptation`]):
+//!   windowed hit-rate monitoring, LRU-stack sampling and lazy merge/split
+//!   target decisions (§3.2, §4.2).
+//! * [`exchange`] — the exchange policy ([`RegionExchange`]): region write
+//!   counters, XOR-key rotation and displaced-region exchange, sharing the
+//!   PCM-S counter machinery with `sawl_algos::exchange` (§2.1).
 //!
 //! [`engine`] composes them into the [`Sawl`] wear leveler; [`config`]
 //! holds the tunables (incl. the §4.2-trained SOW/SSW) and [`history`] the
@@ -44,11 +43,9 @@ pub mod exchange;
 pub mod history;
 pub mod mapping;
 
-pub use adapt::{
-    AdaptAction, AdaptationController, Decision, HitRateAdaptation, HitRateMonitor, MonitorInputs,
-};
+pub use adapt::{AdaptAction, Decision, HitRateAdaptation, HitRateMonitor, MonitorInputs};
 pub use config::{ConfigError, SawlConfig};
 pub use engine::{Sawl, SawlStats};
-pub use exchange::{ExchangePlan, ExchangePolicy, RegionExchange};
+pub use exchange::{ExchangePlan, RegionExchange};
 pub use history::{History, Sample};
-pub use mapping::{MappingTier, TieredMapping};
+pub use mapping::TieredMapping;

@@ -36,25 +36,6 @@ use sawl_tiered::layout::TieredLayout;
 
 use crate::config::SawlConfig;
 
-/// Narrow interface of the translation subsystem: everything the engine's
-/// request path needs from the mapping state.
-pub trait MappingTier {
-    /// Authoritative IMT entry covering `granule`.
-    fn entry(&self, granule: u64) -> ImtEntry;
-
-    /// Current physical location of logical line `la`; no side effects.
-    fn translate(&self, la: La) -> Pa;
-
-    /// Resolve the entry covering `granule` through the CMT, charging an
-    /// in-NVM IMT read on a miss (Fig. 11 steps 1–3).
-    fn resolve_cached(&mut self, granule: u64, dev: &mut NvmDevice) -> ImtEntry;
-
-    /// Rewrite the region at `base` to placement `(prn, key, q_log2)`:
-    /// IMT entries, owner map and CMT image, charging the translation-line
-    /// writes through the GTD.
-    fn set_region(&mut self, base: u64, prn: u64, key: u64, q_log2: u8, dev: &mut NvmDevice);
-}
-
 /// The concrete tiered mapping state: IMT in NVM, CMT on chip, GTD for
 /// translation-line wear, plus the inverse owner map.
 #[derive(Debug, Clone)]
@@ -110,13 +91,13 @@ impl TieredMapping {
         self.p_log2
     }
 
-    /// The CMT (hit counters, occupancy) for the monitor and tests.
     /// Record `k` repeated CMT hits to the cached region at `base` — the
     /// bulk half of run-length batching, equivalent to `k` cache lookups.
     pub fn record_repeat_hits(&mut self, base: u64, k: u64) {
         self.cmt.record_hits(base, k);
     }
 
+    /// The CMT (hit counters, occupancy) for the monitor and tests.
     pub fn cmt(&self) -> &Cmt<ImtEntry> {
         &self.cmt
     }
@@ -392,20 +373,22 @@ impl TieredMapping {
         }
         region_count
     }
-}
 
-impl MappingTier for TieredMapping {
+    /// Authoritative IMT entry covering `granule`.
     #[inline]
-    fn entry(&self, granule: u64) -> ImtEntry {
+    pub fn entry(&self, granule: u64) -> ImtEntry {
         self.imt.entry(granule)
     }
 
+    /// Current physical location of logical line `la`; no side effects.
     #[inline]
-    fn translate(&self, la: La) -> Pa {
+    pub fn translate(&self, la: La) -> Pa {
         self.imt.translate(la)
     }
 
-    fn resolve_cached(&mut self, granule: u64, dev: &mut NvmDevice) -> ImtEntry {
+    /// Resolve the entry covering `granule` through the CMT, charging an
+    /// in-NVM IMT read on a miss (Fig. 11 steps 1–3).
+    pub fn resolve_cached(&mut self, granule: u64, dev: &mut NvmDevice) -> ImtEntry {
         let auth = self.imt.entry(granule);
         let base = self.base_of(granule, auth);
         match self.cmt.lookup(base) {
@@ -421,7 +404,10 @@ impl MappingTier for TieredMapping {
         auth
     }
 
-    fn set_region(&mut self, base: u64, prn: u64, key: u64, q_log2: u8, dev: &mut NvmDevice) {
+    /// Rewrite the region at `base` to placement `(prn, key, q_log2)`:
+    /// IMT entries, owner map and CMT image, charging the translation-line
+    /// writes through the GTD.
+    pub fn set_region(&mut self, base: u64, prn: u64, key: u64, q_log2: u8, dev: &mut NvmDevice) {
         let e = ImtEntry::pack(prn, key, q_log2);
         let nq = self.nq(e);
         debug_assert_eq!(base & (nq - 1), 0, "unaligned region base");

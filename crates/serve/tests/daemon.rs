@@ -435,6 +435,7 @@ fn degenerate_scheme_specs_get_typed_errors_and_the_daemon_keeps_serving() {
         SchemeSpec::Tlsr { region_lines: 48, inner_period: 8, outer_period: 32 },
         SchemeSpec::PcmS { region_lines: 4, period: 0 },
         SchemeSpec::SegmentSwap { segment_lines: 64, swap_period: 0 },
+        SchemeSpec::Nwl { granularity: 4, cmt_entries: 128, swap_period: 0 },
     ];
     for (i, scheme) in schemes.into_iter().enumerate() {
         let spec = LifetimeExperiment { scheme, ..small_exp("serve/degenerate", 20_000) };

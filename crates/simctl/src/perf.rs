@@ -86,8 +86,8 @@ pub fn run_perf(exp: &PerfExperiment) -> Result<PerfResult, DriverError> {
     let cpu = CpuModel::for_benchmark(exp.benchmark);
 
     // Scheme pass, monomorphized over the concrete enum instance.
-    let phys = exp.scheme.physical_lines(exp.data_lines);
     let mut wl = exp.scheme.try_instantiate(exp.data_lines, seed)?;
+    let phys = exp.scheme.physical_lines(exp.data_lines);
     let mut dev = exp.device.try_build(phys, seed)?;
     let workload = WorkloadSpec::Spec(exp.benchmark);
     let mut stream = workload.build(wl.logical_lines(), seed);

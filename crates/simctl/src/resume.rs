@@ -112,10 +112,11 @@ impl ResumableRun {
     /// lifetime run is set up.
     pub(crate) fn build(exp: &LifetimeExperiment) -> Result<Self, DriverError> {
         let seed = stable_seed(&exp.id);
-        let phys = exp.scheme.physical_lines(exp.data_lines);
         // Concrete enum instance: the serve loop monomorphizes against it,
-        // so the per-write scheme call is static-dispatched.
+        // so the per-write scheme call is static-dispatched. Built first:
+        // it validates the spec that `physical_lines` assumes valid.
         let mut wl = exp.scheme.try_instantiate(exp.data_lines, seed)?;
+        let phys = exp.scheme.physical_lines(exp.data_lines);
         let mut dev = exp.device.try_build(phys, seed)?;
         if let Some(plan) = &exp.fault {
             dev.install_fault_plan(plan)?;

@@ -324,13 +324,13 @@ pub fn run_all(scenarios: &[Scenario]) -> Result<Vec<Report>, DriverError> {
 
 fn run_trace(s: &Scenario, requests: u64) -> Result<TraceReport, DriverError> {
     let seed = stable_seed(&s.id);
+    // One monomorphic pump over the enum instance; the concrete engines
+    // are recovered afterwards for their post-run introspection. Built
+    // first: it validates the spec that `physical_lines` assumes valid.
+    let mut wl = s.scheme.try_instantiate(s.data_lines, seed)?;
     let phys = s.scheme.physical_lines(s.data_lines);
     let mut dev = s.device.try_build(phys, seed)?;
     let mut stream = s.workload.try_build(s.data_lines, seed)?;
-
-    // One monomorphic pump over the enum instance; the concrete engines
-    // are recovered afterwards for their post-run introspection.
-    let mut wl = s.scheme.try_instantiate(s.data_lines, seed)?;
     let mut telemetry = match &s.telemetry {
         Some(spec) if spec.stride == 0 => {
             return Err(DriverError::Spec("telemetry stride must be >= 1".into()));

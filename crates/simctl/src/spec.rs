@@ -215,8 +215,9 @@ impl SchemeSpec {
 
     /// Reject the parameters a scheme constructor would panic on: zero
     /// periods, region splits that are not powers of two within the
-    /// logical space, RBSG geometry that does not cover it, and a TLSR
-    /// inner period or an MWSR period past its 32-bit per-region counters.
+    /// logical space, RBSG geometry that does not cover it, a TLSR inner
+    /// period or an MWSR period past its 32-bit per-region counters, an
+    /// NWL cache of fewer than two entries, and an invalid SAWL config.
     fn validate(&self, data_lines: u64) -> Result<(), DriverError> {
         let name = self.name();
         let period = |field: &str, value: u64| {
@@ -248,7 +249,19 @@ impl SchemeSpec {
             Ok(())
         };
         match *self {
-            Self::Baseline | Self::Ideal | Self::Nwl { .. } | Self::Sawl(_) => Ok(()),
+            Self::Baseline | Self::Ideal => Ok(()),
+            Self::Nwl { granularity, cmt_entries, swap_period } => {
+                period("swap_period", swap_period)?;
+                if cmt_entries < 2 {
+                    return Err(DriverError::Spec(format!(
+                        "{name}: cmt_entries {cmt_entries} must be at least 2"
+                    )));
+                }
+                regions("granularity", granularity)
+            }
+            Self::Sawl(ref cfg) => {
+                SawlConfig { data_lines, ..cfg.clone() }.validate().map_err(DriverError::Config)
+            }
             Self::SegmentSwap { segment_lines, swap_period } => {
                 period("swap_period", swap_period)?;
                 regions("segment_lines", segment_lines)
@@ -286,7 +299,8 @@ impl SchemeSpec {
     }
 
     /// Physical lines the device must provide for this scheme over
-    /// `data_lines` logical lines.
+    /// `data_lines` logical lines. May panic on a spec that
+    /// [`SchemeSpec::try_instantiate`] rejects.
     pub fn physical_lines(&self, data_lines: u64) -> u64 {
         match *self {
             Self::Rbsg { regions, region_lines, .. } => regions * (region_lines + 1),
@@ -880,10 +894,36 @@ mod tests {
             (SchemeSpec::Mwsr { region_lines: 16, period: u64::from(u32::MAX) + 1 }, "period"),
             (SchemeSpec::Rbsg { regions: 4, region_lines: 256, period: 0 }, "period"),
             (SchemeSpec::SegmentSwap { segment_lines: 64, swap_period: 0 }, "swap_period"),
+            (SchemeSpec::Nwl { granularity: 3, cmt_entries: 128, swap_period: 128 }, "granularity"),
+            (SchemeSpec::Nwl { granularity: 4, cmt_entries: 128, swap_period: 0 }, "swap_period"),
+            (SchemeSpec::Nwl { granularity: 4, cmt_entries: 1, swap_period: 128 }, "cmt_entries"),
         ] {
             let err = spec.try_instantiate(1 << 10, 1).unwrap_err();
             assert!(matches!(err, DriverError::Spec(_)), "{spec:?}: {err:?}");
             assert!(err.to_string().contains(field), "{spec:?}: {err}");
+        }
+
+        // Whole runs reject the NWL and SAWL specs whose layout
+        // `physical_lines` cannot compute before it is asked to.
+        for scheme in [
+            SchemeSpec::Nwl { granularity: 3, cmt_entries: 128, swap_period: 128 },
+            SchemeSpec::Nwl { granularity: 4, cmt_entries: 128, swap_period: 0 },
+            SchemeSpec::Nwl { granularity: 4, cmt_entries: 1, swap_period: 128 },
+            bad,
+        ] {
+            let exp = crate::LifetimeExperiment {
+                id: "bad".into(),
+                scheme,
+                workload: WorkloadSpec::Bpa { writes_per_target: 64 },
+                data_lines: 1 << 10,
+                device: DeviceSpec::default(),
+                max_demand_writes: 1_000,
+                fault: None,
+                telemetry: None,
+                timing: None,
+            };
+            let err = crate::run_lifetime(&exp).unwrap_err();
+            assert!(matches!(err, DriverError::Spec(_) | DriverError::Config(_)), "{err:?}");
         }
     }
 

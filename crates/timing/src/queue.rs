@@ -144,22 +144,6 @@ fn exact_ns(x: f64) -> bool {
     x.fract() == 0.0 && x.abs() < MAX_EXACT_NS
 }
 
-/// The O(1) subset of [`StepSig`]: the scalar clocks plus the queue and
-/// window occupancy, captured without touching their contents. A uniform
-/// shift here is necessary (not sufficient) for a [`StepSig`] shift, so
-/// the warm loop tracks this for free every push and only pays for the
-/// full capture once the light fields go periodic.
-#[derive(Debug, Clone, Copy)]
-struct LightSig {
-    now: f64,
-    chan_free: f64,
-    bank_free: f64,
-    queue_len: usize,
-    heap_len: usize,
-    exch_debt: f64,
-    reorg_debt: f64,
-}
-
 /// The restricted simulator state that one steady-state `push` of a fixed
 /// wl-free event reads and writes: the issue clock, the target bank and
 /// channel, the outstanding window, and the latency/stall accumulators.
@@ -308,17 +292,11 @@ pub struct ClosedLoopSim {
     total_latency: f64,
     stalls: StallBreakdown,
     hist: LatencyHistogram,
-    /// Warmup length of the last successful [`Self::push_n`] jump — a
-    /// scheduling hint for when the next run's full periodicity check is
-    /// worth attempting. Never read by the timing semantics: any attempt
-    /// schedule yields bit-identical results, the hint only skips capture
-    /// attempts that are known to fail while the window flushes.
-    warm_hint: u64,
     /// Whether the config admits span memoization: every time a whole,
     /// non-negative number of ns, and both service times non-zero.
     memo_ok: bool,
-    /// Memoized span starts. Like `warm_hint`, never read by the timing
-    /// semantics: a replay is taken only where it is exact.
+    /// Memoized span starts. Never read by the timing semantics: a replay
+    /// is taken only where it is exact.
     memo: Memo,
     /// The current span's key and its fingerprint ([`Self::span_key`]).
     key: Vec<u64>,
@@ -352,7 +330,6 @@ impl ClosedLoopSim {
             total_latency: 0.0,
             stalls: StallBreakdown::default(),
             hist: LatencyHistogram::new(),
-            warm_hint: 0,
             memo_ok,
             memo: Memo::default(),
             key: Vec::new(),
@@ -508,64 +485,30 @@ impl ClosedLoopSim {
         let start = (self.now, self.total_latency, self.stalls);
         let mut latencies = Vec::new();
         let mut remaining = n;
-        let mut warm = 0u64;
-        // Two-tier detection. The O(1) light signature is tracked on every
-        // push; the allocating full capture (queue + sorted window
-        // contents) runs in consecutive-push pairs, and a failed pair backs
-        // off exponentially before the next attempt. The backoff matters:
-        // while the window is still flushing another bank's completions
-        // (e.g. each new dwell of a BPA run), those stale entries can sit
-        // exactly one period apart, so the light fields shift uniformly for
-        // a whole window's worth of pushes while the full check keeps
-        // failing on the unshifted heap contents — paying the full capture
-        // on every one of them would dominate the run cost.
-        let mut prev_light = self.light_sig(&e);
-        let mut pending: Option<StepSig> = None;
-        let mut next_attempt = 0u64;
-        let mut backoff = 2u64;
-        let mut used_hint = false;
-        while remaining > 0 && warm <= warmup_cap {
+        // Compare the state before and after every warmup push; the first
+        // uniform shift proves the rest of the span periodic. The cutoff
+        // above keeps the span longer than the warmup, so a proof always
+        // leaves pushes to jump.
+        let mut prev = self.step_sig(&e);
+        for _ in 0..=warmup_cap {
             let before = self.total_latency;
             self.push(e);
             if keyed {
                 latencies.push(self.total_latency - before);
             }
             remaining -= 1;
-            warm += 1;
-            let cur_light = self.light_sig(&e);
-            let light_ok = Self::light_shift(&prev_light, &cur_light).is_some();
-            prev_light = cur_light;
-            if !light_ok {
-                pending = None;
-                continue;
-            }
-            if let Some(prev) = pending.take() {
-                let cur = self.step_sig(&e);
-                if remaining >= 2 {
-                    if let Some(period) = Self::uniform_shift(&prev, &cur) {
-                        if keyed {
-                            self.remember(start, &cur, period, &mut latencies);
-                        }
-                        if self.try_jump(&e, period, remaining) {
-                            self.warm_hint = warm;
-                            return;
-                        }
-                    }
+            let cur = self.step_sig(&e);
+            if let Some(period) = Self::uniform_shift(&prev, &cur) {
+                if keyed {
+                    self.remember(start, &cur, period, &mut latencies);
                 }
-                // First failure fast-forwards to the last successful
-                // warmup length (a still-flushing window keeps the light
-                // check green while every full check fails); later
-                // failures back off exponentially.
-                if used_hint {
-                    next_attempt = warm + backoff;
-                    backoff *= 2;
-                } else {
-                    next_attempt = (warm + backoff).max(self.warm_hint.saturating_sub(2));
-                    used_hint = true;
+                if self.try_jump(&e, period, remaining) {
+                    return;
                 }
-            } else if warm >= next_attempt && remaining >= 3 {
-                pending = Some(self.step_sig(&e));
+                // The jump would leave the exact range; so would a later one.
+                break;
             }
+            prev = cur;
         }
         for _ in 0..remaining {
             self.push(e);
@@ -733,46 +676,6 @@ impl ClosedLoopSim {
             self.memo.clear();
         }
         self.memo.insert(self.key_hash, transient);
-    }
-
-    /// Allocation-free capture of the light step signature (see
-    /// [`LightSig`]).
-    fn light_sig(&self, e: &MemEvent) -> LightSig {
-        let b = (e.bank % self.cfg.banks) as usize;
-        let chan = (e.bank % self.cfg.channels) as usize;
-        LightSig {
-            now: self.now,
-            chan_free: self.chan_free[chan],
-            bank_free: self.banks[b].free,
-            queue_len: self.banks[b].queue.len(),
-            heap_len: self.outstanding.len(),
-            exch_debt: self.banks[b].exch_debt,
-            reorg_debt: self.banks[b].reorg_debt,
-        }
-    }
-
-    /// If the light fields of `cur` are exactly those of `prev` advanced by
-    /// one uniform, whole-ns time shift (with untouched occupancy and
-    /// debts), return the shift. Necessary for [`Self::uniform_shift`] on
-    /// the corresponding full captures, but not sufficient: the queue and
-    /// window *contents* still have to shift, which only the full check
-    /// sees.
-    fn light_shift(prev: &LightSig, cur: &LightSig) -> Option<f64> {
-        let p = cur.now - prev.now;
-        if !(p >= 0.0 && exact_ns(p) && exact_ns(prev.now) && exact_ns(cur.now)) {
-            return None;
-        }
-        let shifted = |a: f64, b: f64| exact_ns(a) && exact_ns(b) && b - a == p;
-        if !shifted(prev.chan_free, cur.chan_free)
-            || !shifted(prev.bank_free, cur.bank_free)
-            || prev.queue_len != cur.queue_len
-            || prev.heap_len != cur.heap_len
-            || prev.exch_debt != cur.exch_debt
-            || prev.reorg_debt != cur.reorg_debt
-        {
-            return None;
-        }
-        Some(p)
     }
 
     /// The restricted state one steady-state `push` of `e` reads and
@@ -1437,6 +1340,38 @@ mod tests {
         assert!(served.replayed > 0, "{served:?}");
         assert_sims_identical(&scalar, &fast, "random banks");
         assert_states_identical(&scalar, &fast, "random banks");
+    }
+
+    #[test]
+    fn cold_spans_jump_at_the_first_provable_push() {
+        // With an empty memo a span pushes scalar events up to and including
+        // the first push whose before and after states differ by a uniform
+        // shift, and jumps right after it. A reference scan on a clone finds
+        // that push.
+        let e = MemEvent::write(5).with_translation(Translation::Hit);
+        for cfg in [span_config(0), span_config(2), span_config(3)] {
+            let cap = cfg.window + cfg.queue_depth + 8;
+            // A fresh controller, and one whose window still holds another
+            // bank's dwell (the start of every BPA dwell after the first).
+            for prefix in [0u32, 300] {
+                let mut s = ClosedLoopSim::new(cfg);
+                for _ in 0..prefix {
+                    s.push(MemEvent::write(2).with_translation(Translation::Hit));
+                }
+                let mut probe = s.clone();
+                let first = (1..=cap as u64).find(|_| {
+                    let before = probe.step_sig(&e);
+                    probe.push(e);
+                    ClosedLoopSim::uniform_shift(&before, &probe.step_sig(&e)).is_some()
+                });
+                let first = first.expect("the span proves periodic within the cap");
+                let before = s.serve_counts();
+                s.push_n(e, 4096);
+                let ctx = format!("{cfg:?}, prefix {prefix}");
+                assert_eq!(s.serve_counts().scalar - before.scalar, first, "{ctx}");
+                assert_eq!(s.serve_counts().jumped - before.jumped, 4096 - first, "{ctx}");
+            }
+        }
     }
 
     #[test]
