@@ -9,7 +9,7 @@
 
 use sawl_bench::{device, paper_note, Figure, ENDURANCE_1E6_CLASS, LIFETIME_LINES};
 use sawl_simctl::report::pct;
-use sawl_simctl::{run_all, Scenario, SchemeSpec, WorkloadSpec};
+use sawl_simctl::{run_all, run_lifetime, LifetimeExperiment, SchemeSpec, WorkloadSpec};
 
 fn main() {
     let endurance = ENDURANCE_1E6_CLASS;
@@ -28,7 +28,7 @@ fn main() {
     let mut grid = Vec::new();
     for &dwell in &dwells {
         for (name, scheme) in &schemes {
-            grid.push(Scenario::lifetime(
+            grid.push(LifetimeExperiment::new(
                 format!("ablation-dwell/{dwell}/{name}"),
                 scheme.clone(),
                 WorkloadSpec::Bpa { writes_per_target: dwell },
@@ -37,16 +37,16 @@ fn main() {
             ));
         }
     }
-    let results = run_all(&grid).expect("scenario sweep failed");
+    let results = run_all(&grid, run_lifetime).expect("sweep failed");
     let mut fig = Figure::new(
         "ablation_bpa_dwell",
         "Ablation: BPA dwell sensitivity (normalized lifetime %, Wmax 1e6-class)",
         &["dwell (x Wmax)", "baseline", "pcm-s", "sawl"],
     );
     for (di, &dwell) in dwells.iter().enumerate() {
-        let base = results[di * 3].lifetime();
-        let pcms = results[di * 3 + 1].lifetime();
-        let sawl = results[di * 3 + 2].lifetime();
+        let base = &results[di * 3];
+        let pcms = &results[di * 3 + 1];
+        let sawl = &results[di * 3 + 2];
         fig.row(vec![
             format!("{:.3}", dwell as f64 / f64::from(endurance)),
             pct(base.normalized_lifetime),

@@ -10,7 +10,7 @@
 use sawl_bench::{paper_note, Figure, PERF_LINES};
 use sawl_core::SawlConfig;
 use sawl_simctl::report::pct;
-use sawl_simctl::{run_all, Scenario, SchemeSpec, WorkloadSpec};
+use sawl_simctl::{run_all, run_trace, SchemeSpec, TraceExperiment, WorkloadSpec};
 use sawl_trace::SpecBenchmark;
 
 fn main() {
@@ -21,10 +21,10 @@ fn main() {
         ("split-only", false, true),
         ("neither", false, false),
     ];
-    let grid: Vec<Scenario> = variants
+    let grid: Vec<TraceExperiment> = variants
         .iter()
         .map(|&(name, merge, split)| {
-            Scenario::trace(
+            TraceExperiment::new(
                 format!("ablation-mechanism/{name}"),
                 SchemeSpec::Sawl(SawlConfig {
                     cmt_entries: (512 * 1024 * 8 / 48) as usize,
@@ -43,7 +43,7 @@ fn main() {
             )
         })
         .collect();
-    let reports = run_all(&grid).expect("scenario sweep failed");
+    let reports = run_all(&grid, run_trace).expect("sweep failed");
 
     let mut fig = Figure::new(
         "ablation_mechanism",
@@ -51,7 +51,7 @@ fn main() {
         &["variant", "avg hit rate (%)", "avg region size", "merges", "splits"],
     );
     for ((name, _, _), report) in variants.iter().zip(&reports) {
-        let adapt = report.trace().adaptation();
+        let adapt = report.adaptation();
         fig.row(vec![
             (*name).into(),
             pct(adapt.history.average_hit_rate()),

@@ -5,16 +5,16 @@
 use sawl_bench::{paper_note, Figure, PERF_LINES};
 use sawl_core::SawlConfig;
 use sawl_simctl::report::pct;
-use sawl_simctl::{run_all, Scenario, SchemeSpec, WorkloadSpec};
+use sawl_simctl::{run_all, run_trace, SchemeSpec, TraceExperiment, WorkloadSpec};
 use sawl_trace::SpecBenchmark;
 
 fn main() {
     let requests: u64 = 40_000_000;
     let pairs: [(f64, f64); 4] = [(0.80, 0.90), (0.90, 0.95), (0.93, 0.97), (0.95, 0.99)];
-    let grid: Vec<Scenario> = pairs
+    let grid: Vec<TraceExperiment> = pairs
         .iter()
         .map(|&(merge_t, split_t)| {
-            Scenario::trace(
+            TraceExperiment::new(
                 format!("ablation-thresholds/{merge_t:.2}/{split_t:.2}"),
                 SchemeSpec::Sawl(SawlConfig {
                     cmt_entries: (512 * 1024 * 8 / 48) as usize,
@@ -33,7 +33,7 @@ fn main() {
             )
         })
         .collect();
-    let reports = run_all(&grid).expect("scenario sweep failed");
+    let reports = run_all(&grid, run_trace).expect("sweep failed");
 
     let mut fig = Figure::new(
         "ablation_thresholds",
@@ -41,7 +41,7 @@ fn main() {
         &["merge", "split", "avg hit rate (%)", "avg region", "merges", "splits"],
     );
     for (&(merge_t, split_t), report) in pairs.iter().zip(&reports) {
-        let adapt = report.trace().adaptation();
+        let adapt = report.adaptation();
         fig.row(vec![
             pct(merge_t),
             pct(split_t),

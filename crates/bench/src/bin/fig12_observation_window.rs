@@ -9,17 +9,17 @@
 
 use sawl_bench::{paper_note, save_history_csv, Figure, PERF_LINES};
 use sawl_core::SawlConfig;
-use sawl_simctl::{run_all, Scenario, SchemeSpec, WorkloadSpec};
+use sawl_simctl::{run_all, run_trace, SchemeSpec, TraceExperiment, WorkloadSpec};
 use sawl_trace::SpecBenchmark;
 
 fn main() {
     let requests: u64 = 100_000_000;
     let sows: [u64; 4] = [1 << 18, 1 << 20, 1 << 22, 1 << 24];
 
-    let grid: Vec<Scenario> = sows
+    let grid: Vec<TraceExperiment> = sows
         .iter()
         .map(|&sow| {
-            Scenario::trace(
+            TraceExperiment::new(
                 format!("fig12/sow/2e{}", sow.trailing_zeros()),
                 SchemeSpec::Sawl(SawlConfig {
                     cmt_entries: (512 * 1024 * 8 / 48) as usize,
@@ -36,7 +36,7 @@ fn main() {
             )
         })
         .collect();
-    let reports = run_all(&grid).expect("scenario sweep failed");
+    let reports = run_all(&grid, run_trace).expect("sweep failed");
 
     let mut fig = Figure::new(
         "fig12_summary",
@@ -44,7 +44,7 @@ fn main() {
         &["SOW", "mean rate", "rate stddev", "min", "max", "adjustments"],
     );
     for (&sow, report) in sows.iter().zip(&reports) {
-        let adapt = report.trace().adaptation();
+        let adapt = report.adaptation();
         // Statistics of the *windowed* (sampled) hit-rate curve — the
         // quantity plotted in the paper's Fig. 12.
         let rates: Vec<f64> = adapt

@@ -8,17 +8,17 @@
 
 use sawl_bench::{paper_note, save_history_csv, Figure, PERF_LINES};
 use sawl_core::SawlConfig;
-use sawl_simctl::{run_all, Scenario, SchemeSpec, WorkloadSpec};
+use sawl_simctl::{run_all, run_trace, SchemeSpec, TraceExperiment, WorkloadSpec};
 use sawl_trace::SpecBenchmark;
 
 fn main() {
     let requests: u64 = 100_000_000;
     let ssws: [u64; 4] = [1 << 18, 1 << 20, 1 << 22, 1 << 24];
 
-    let grid: Vec<Scenario> = ssws
+    let grid: Vec<TraceExperiment> = ssws
         .iter()
         .map(|&ssw| {
-            Scenario::trace(
+            TraceExperiment::new(
                 format!("fig13/ssw/2e{}", ssw.trailing_zeros()),
                 SchemeSpec::Sawl(SawlConfig {
                     cmt_entries: (512 * 1024 * 8 / 48) as usize,
@@ -35,7 +35,7 @@ fn main() {
             )
         })
         .collect();
-    let reports = run_all(&grid).expect("scenario sweep failed");
+    let reports = run_all(&grid, run_trace).expect("sweep failed");
 
     let mut fig = Figure::new(
         "fig13_summary",
@@ -43,7 +43,7 @@ fn main() {
         &["SSW", "avg hit rate", "avg region size", "size changes", "merges", "splits"],
     );
     for (&ssw, report) in ssws.iter().zip(&reports) {
-        let adapt = report.trace().adaptation();
+        let adapt = report.adaptation();
         fig.row(vec![
             format!("2^{}", ssw.trailing_zeros()),
             format!("{:.3}", adapt.history.average_hit_rate()),

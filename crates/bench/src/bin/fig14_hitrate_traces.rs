@@ -12,7 +12,9 @@
 use sawl_bench::{paper_note, save_series_csv, Figure, CMT_BYTES, PERF_LINES};
 use sawl_core::SawlConfig;
 use sawl_simctl::report::pct;
-use sawl_simctl::{run_all, Channel, Scenario, SchemeSpec, TelemetrySpec, WorkloadSpec};
+use sawl_simctl::{
+    run_all, run_trace, Channel, SchemeSpec, TelemetrySpec, TraceExperiment, WorkloadSpec,
+};
 use sawl_tiered::NwlConfig;
 use sawl_trace::SpecBenchmark;
 
@@ -51,22 +53,21 @@ fn main() {
         for (name, scheme) in
             [("nwl4", nwl_spec(4)), ("nwl64", nwl_spec(64)), ("sawl", sawl_spec.clone())]
         {
-            let mut s = Scenario::trace(
-                format!("fig14/{}/{}", bench.name(), name),
-                scheme,
-                WorkloadSpec::Spec(bench),
-                PERF_LINES,
-                requests,
-            );
-            if name == "sawl" {
-                // Sample on the engine's own adaptation interval: the
+            grid.push(TraceExperiment {
+                // Sample SAWL on the engine's own adaptation interval: the
                 // recorder then observes exactly the history's points.
-                s = s.with_telemetry(TelemetrySpec::with_stride(sample_interval));
-            }
-            grid.push(s);
+                telemetry: (name == "sawl").then(|| TelemetrySpec::with_stride(sample_interval)),
+                ..TraceExperiment::new(
+                    format!("fig14/{}/{}", bench.name(), name),
+                    scheme,
+                    WorkloadSpec::Spec(bench),
+                    PERF_LINES,
+                    requests,
+                )
+            });
         }
     }
-    let reports = run_all(&grid).expect("scenario sweep failed");
+    let reports = run_all(&grid, run_trace).expect("sweep failed");
 
     let mut fig = Figure::new(
         "fig14_summary",
@@ -74,10 +75,10 @@ fn main() {
         &["benchmark", "NWL-4 (%)", "NWL-64 (%)", "SAWL (%)", "SAWL avg region"],
     );
     for (bi, bench) in benches.iter().enumerate() {
-        let nwl4 = reports[bi * 3].trace();
-        let nwl64 = reports[bi * 3 + 1].trace();
-        let sawl = reports[bi * 3 + 2].trace();
-        let series = sawl.telemetry.as_ref().expect("sawl scenarios record telemetry");
+        let nwl4 = &reports[bi * 3];
+        let nwl64 = &reports[bi * 3 + 1];
+        let sawl = &reports[bi * 3 + 2];
+        let series = sawl.telemetry.as_ref().expect("sawl runs record telemetry");
         let region_sizes = series.gauge_series(Channel::RegionSizeCached);
         let avg_region = if region_sizes.is_empty() {
             0.0

@@ -13,7 +13,7 @@ use sawl_bench::{
 };
 use sawl_core::SawlConfig;
 use sawl_simctl::report::pct;
-use sawl_simctl::{run_all, Scenario, SchemeSpec};
+use sawl_simctl::{run_all, run_lifetime, LifetimeExperiment, SchemeSpec};
 
 fn main() {
     let periods: [u64; 4] = [8, 16, 32, 64];
@@ -24,21 +24,21 @@ fn main() {
     for (tag, endurance) in [("1e6", ENDURANCE_1E6_CLASS), ("1e5", ENDURANCE_1E5_CLASS)] {
         let mut grid = Vec::new();
         for &period in &periods {
-            grid.push(Scenario::lifetime(
+            grid.push(LifetimeExperiment::new(
                 format!("fig15/{tag}/pcms/{period}"),
                 SchemeSpec::PcmS { region_lines: hybrid_region_lines, period },
                 bpa(endurance),
                 LIFETIME_LINES,
                 device(endurance),
             ));
-            grid.push(Scenario::lifetime(
+            grid.push(LifetimeExperiment::new(
                 format!("fig15/{tag}/mwsr/{period}"),
                 SchemeSpec::Mwsr { region_lines: hybrid_region_lines * 2, period },
                 bpa(endurance),
                 LIFETIME_LINES,
                 device(endurance),
             ));
-            grid.push(Scenario::lifetime(
+            grid.push(LifetimeExperiment::new(
                 format!("fig15/{tag}/sawl/{period}"),
                 SchemeSpec::Sawl(SawlConfig {
                     initial_granularity: 4,
@@ -55,7 +55,7 @@ fn main() {
                 device(endurance),
             ));
         }
-        let results = run_all(&grid).expect("scenario sweep failed");
+        let results = run_all(&grid, run_lifetime).expect("sweep failed");
         let mut fig = Figure::new(
             &format!("fig15_{tag}"),
             &format!(
@@ -65,9 +65,9 @@ fn main() {
             &["period", "pcm-s", "mwsr", "sawl", "sawl overhead (%)"],
         );
         for (pi, &period) in periods.iter().enumerate() {
-            let pcms = results[pi * 3].lifetime();
-            let mwsr = results[pi * 3 + 1].lifetime();
-            let sawl = results[pi * 3 + 2].lifetime();
+            let pcms = &results[pi * 3];
+            let mwsr = &results[pi * 3 + 1];
+            let sawl = &results[pi * 3 + 2];
             fig.row(vec![
                 period.to_string(),
                 pct(pcms.normalized_lifetime),

@@ -17,7 +17,7 @@
 use sawl_bench::{device, paper_note, Figure};
 use sawl_core::SawlConfig;
 use sawl_simctl::report::pct;
-use sawl_simctl::{run_all, Scenario, SchemeSpec, WorkloadSpec};
+use sawl_simctl::{run_all, run_lifetime, LifetimeExperiment, SchemeSpec, WorkloadSpec};
 use sawl_trace::ALL_BENCHMARKS;
 
 fn harmonic_mean(xs: &[f64]) -> f64 {
@@ -55,21 +55,21 @@ fn main() {
         let mut grid = Vec::new();
         for bench in ALL_BENCHMARKS {
             for (name, scheme) in &schemes {
-                grid.push(
-                    Scenario::lifetime(
+                grid.push(LifetimeExperiment {
+                    // Cap runs at 1.2x ideal: well-leveled benchmarks would
+                    // otherwise run ~forever; 100%+ reads as "reached ideal".
+                    max_demand_writes: (LIFETIME_LINES as f64 * f64::from(endurance) * 1.2) as u64,
+                    ..LifetimeExperiment::new(
                         format!("fig16{panel}/{}/{}", bench.name(), name),
                         scheme.clone(),
                         WorkloadSpec::Spec(bench),
                         LIFETIME_LINES,
                         device(endurance),
                     )
-                    // Cap runs at 1.2x ideal: well-leveled benchmarks would
-                    // otherwise run ~forever; 100%+ reads as "reached ideal".
-                    .with_write_cap((LIFETIME_LINES as f64 * f64::from(endurance) * 1.2) as u64),
-                );
+                });
             }
         }
-        let results = run_all(&grid).expect("scenario sweep failed");
+        let results = run_all(&grid, run_lifetime).expect("sweep failed");
         let regions = LIFETIME_LINES / wlg;
         let mut fig = Figure::new(
             &format!("fig16{panel}"),
@@ -82,7 +82,7 @@ fn main() {
         for (bi, bench) in ALL_BENCHMARKS.iter().enumerate() {
             let mut row = vec![bench.name().to_string()];
             for si in 0..schemes.len() {
-                let r = results[bi * schemes.len() + si].lifetime();
+                let r = &results[bi * schemes.len() + si];
                 let nl = r.normalized_lifetime.min(1.0);
                 per_scheme[si].push(nl);
                 row.push(pct(nl));

@@ -12,7 +12,7 @@
 use sawl_bench::{paper_note, Figure, CMT_BYTES};
 use sawl_core::SawlConfig;
 use sawl_simctl::report::pct;
-use sawl_simctl::{run_all, Scenario, SchemeSpec};
+use sawl_simctl::{run_all, run_perf, DeviceSpec, PerfExperiment, SchemeSpec};
 use sawl_trace::ALL_BENCHMARKS;
 
 fn main() {
@@ -44,17 +44,18 @@ fn main() {
     let mut grid = Vec::new();
     for bench in ALL_BENCHMARKS {
         for (name, scheme) in &schemes {
-            grid.push(Scenario::perf(
-                format!("fig17/{}/{}", bench.name(), name),
-                scheme.clone(),
-                bench,
-                PERF_LINES,
+            grid.push(PerfExperiment {
+                id: format!("fig17/{}/{}", bench.name(), name),
+                scheme: scheme.clone(),
+                benchmark: bench,
+                data_lines: PERF_LINES,
+                device: DeviceSpec { endurance: u32::MAX, ..Default::default() },
                 requests,
-                warmup,
-            ));
+                warmup_requests: warmup,
+            });
         }
     }
-    let results = run_all(&grid).expect("scenario sweep failed");
+    let results = run_all(&grid, run_perf).expect("sweep failed");
 
     let mut fig = Figure::new(
         "fig17_ipc",
@@ -63,7 +64,7 @@ fn main() {
     );
     let mut sums = [0.0f64; 3];
     for (bi, bench) in ALL_BENCHMARKS.iter().enumerate() {
-        let row_results: Vec<_> = results[bi * 3..bi * 3 + 3].iter().map(|r| r.perf()).collect();
+        let row_results = &results[bi * 3..bi * 3 + 3];
         for (si, r) in row_results.iter().enumerate() {
             sums[si] += r.ipc_degradation;
         }

@@ -12,7 +12,7 @@ use sawl_bench::{
     LIFETIME_LINES,
 };
 use sawl_simctl::report::pct;
-use sawl_simctl::{run_all, Scenario, SchemeSpec};
+use sawl_simctl::{run_all, run_lifetime, LifetimeExperiment, SchemeSpec};
 
 fn main() {
     let periods: [u64; 4] = [8, 16, 32, 64];
@@ -23,7 +23,7 @@ fn main() {
         for &period in &periods {
             for &regions in &region_counts {
                 let region_lines = LIFETIME_LINES / regions;
-                grid.push(Scenario::lifetime(
+                grid.push(LifetimeExperiment::new(
                     format!("fig3/{tag}/p{period}/r{regions}"),
                     SchemeSpec::Tlsr { region_lines, inner_period: period, outer_period: 32 },
                     bpa(endurance),
@@ -32,7 +32,7 @@ fn main() {
                 ));
             }
         }
-        let results = run_all(&grid).expect("scenario sweep failed");
+        let results = run_all(&grid, run_lifetime).expect("sweep failed");
         let mut fig = Figure::new(
             &format!("fig3_{tag}"),
             &format!(
@@ -44,7 +44,7 @@ fn main() {
         for (ri, &regions) in region_counts.iter().enumerate() {
             let mut row = vec![fmt_regions(regions)];
             for pi in 0..periods.len() {
-                let r = results[pi * region_counts.len() + ri].lifetime();
+                let r = &results[pi * region_counts.len() + ri];
                 row.push(pct(r.normalized_lifetime));
             }
             fig.row(row);

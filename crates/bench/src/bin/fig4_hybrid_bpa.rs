@@ -10,7 +10,7 @@ use sawl_bench::{
     LIFETIME_LINES,
 };
 use sawl_simctl::report::pct;
-use sawl_simctl::{run_all, Scenario, SchemeSpec};
+use sawl_simctl::{run_all, run_lifetime, LifetimeExperiment, SchemeSpec};
 
 fn main() {
     let periods: [u64; 4] = [8, 16, 32, 64];
@@ -27,7 +27,7 @@ fn main() {
                     } else {
                         SchemeSpec::Mwsr { region_lines, period }
                     };
-                    grid.push(Scenario::lifetime(
+                    grid.push(LifetimeExperiment::new(
                         format!("fig4/{tag}/{scheme_name}/p{period}/r{regions}"),
                         scheme,
                         bpa(endurance),
@@ -36,7 +36,7 @@ fn main() {
                     ));
                 }
             }
-            let results = run_all(&grid).expect("scenario sweep failed");
+            let results = run_all(&grid, run_lifetime).expect("sweep failed");
             let mut fig = Figure::new(
                 &format!("fig4_{scheme_name}_{tag}"),
                 &format!(
@@ -47,7 +47,7 @@ fn main() {
             for (ri, &regions) in region_counts.iter().enumerate() {
                 let mut row = vec![fmt_regions(regions)];
                 for pi in 0..periods.len() {
-                    let r = results[pi * region_counts.len() + ri].lifetime();
+                    let r = &results[pi * region_counts.len() + ri];
                     row.push(pct(r.normalized_lifetime));
                 }
                 fig.row(row);

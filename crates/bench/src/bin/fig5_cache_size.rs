@@ -18,7 +18,7 @@ use sawl_bench::{
     bpa, device, paper_note, Figure, ENDURANCE_1E5_CLASS, ENDURANCE_1E6_CLASS, LIFETIME_LINES,
 };
 use sawl_simctl::report::pct;
-use sawl_simctl::{run_all, Scenario, SchemeSpec};
+use sawl_simctl::{run_all, run_lifetime, LifetimeExperiment, SchemeSpec};
 
 /// Entry bits: PCM-S keeps prn+key (= log2 lines) plus a 20-bit counter;
 /// MWSR keeps two placements plus the counter (§2.2 item 4).
@@ -56,7 +56,7 @@ fn main() {
                 } else {
                     SchemeSpec::Mwsr { region_lines, period }
                 };
-                grid.push(Scenario::lifetime(
+                grid.push(LifetimeExperiment::new(
                     format!("fig5/{tag}/{scheme_name}/{bytes}"),
                     scheme,
                     bpa(endurance),
@@ -65,7 +65,7 @@ fn main() {
                 ));
             }
         }
-        let results = run_all(&grid).expect("scenario sweep failed");
+        let results = run_all(&grid, run_lifetime).expect("sweep failed");
         let mut fig = Figure::new(
             &format!("fig5_{tag}"),
             &format!(
@@ -82,8 +82,8 @@ fn main() {
             ],
         );
         for (bi, &bytes) in budgets.iter().enumerate() {
-            let pcms = results[bi].lifetime();
-            let mwsr = results[budgets.len() + bi].lifetime();
+            let pcms = &results[bi];
+            let mwsr = &results[budgets.len() + bi];
             fig.row(vec![
                 format!("{bytes}B"),
                 format!("{}KB", bytes * 4096 / 1024),

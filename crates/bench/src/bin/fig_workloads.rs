@@ -16,7 +16,9 @@
 
 use sawl_bench::{device, paper_note, Figure};
 use sawl_simctl::report::pct;
-use sawl_simctl::{run_all, stable_seed, DiurnalPhase, Scenario, SchemeSpec, WorkloadSpec};
+use sawl_simctl::{
+    run_all, run_lifetime, stable_seed, DiurnalPhase, LifetimeExperiment, SchemeSpec, WorkloadSpec,
+};
 use sawl_trace::{AddressStream as _, TraceWriter};
 
 const LINES: u64 = 1 << 12;
@@ -103,20 +105,20 @@ fn main() {
     let mut grid = Vec::new();
     for (wname, workload) in &zoo {
         for (sname, scheme) in &schemes {
-            grid.push(
-                Scenario::lifetime(
+            grid.push(LifetimeExperiment {
+                // 1.0x ideal: a perfectly leveled run reads as 100%.
+                max_demand_writes: LINES * u64::from(ENDURANCE),
+                ..LifetimeExperiment::new(
                     format!("fig-workloads/{wname}/{sname}"),
                     scheme.clone(),
                     workload.clone(),
                     LINES,
                     device(ENDURANCE),
                 )
-                // 1.0x ideal: a perfectly leveled run reads as 100%.
-                .with_write_cap(LINES * u64::from(ENDURANCE)),
-            );
+            });
         }
     }
-    let results = run_all(&grid).expect("workload zoo sweep failed");
+    let results = run_all(&grid, run_lifetime).expect("workload zoo sweep failed");
 
     let mut fig = Figure::new(
         "fig_workloads",
@@ -126,7 +128,7 @@ fn main() {
     for (wi, (wname, _)) in zoo.iter().enumerate() {
         let mut row = vec![wname.to_string()];
         for si in 0..schemes.len() {
-            let r = results[wi * schemes.len() + si].lifetime();
+            let r = &results[wi * schemes.len() + si];
             row.push(pct(r.normalized_lifetime.min(1.0)));
         }
         fig.row(row);

@@ -9,11 +9,11 @@
 //! counts and cumulative write overhead every 2M requests — the fastest
 //! way to understand what the engine is doing on a new workload. Unlike
 //! the figure binaries this one inspects live engine state between pump
-//! chunks, so it builds the engine concretely instead of going through a
-//! scenario.
+//! chunks, so it builds the engine concretely instead of going through
+//! `run_trace`.
 
 use sawl_core::{Sawl, SawlConfig};
-use sawl_simctl::scenario::wearless_device;
+use sawl_simctl::trace::wearless_device;
 use sawl_simctl::{pump, stable_seed};
 use sawl_trace::SpecBenchmark;
 

@@ -57,8 +57,8 @@ use serde::{Deserialize, Serialize};
 
 use sawl_algos::WearLeveler;
 use sawl_simctl::{
-    pump_writes, run_scenario, stable_seed, DeviceSpec, LifetimeResult, Scenario, SchemeSpec,
-    TelemetrySpec, WorkloadSpec,
+    pump_writes, run_lifetime, stable_seed, DeviceSpec, LifetimeExperiment, LifetimeResult,
+    SchemeSpec, TelemetrySpec, WorkloadSpec,
 };
 
 /// Timed repetitions behind every row; rows report their median and range.
@@ -222,19 +222,19 @@ fn scaling_point(data_lines: u64, cap: u64) -> ScalePoint {
     point
 }
 
-/// Run the lifetime `scenario` [`RUNS`] times; the result of a
+/// Run the lifetime experiment `exp` [`RUNS`] times; the result of a
 /// deterministic run is the same every time, so the last one stands for
 /// all.
-fn timed_scenario(scenario: &Scenario) -> (Timings, LifetimeResult) {
+fn timed_lifetime(exp: &LifetimeExperiment) -> (Timings, LifetimeResult) {
     let mut last = None;
     let timings = Timings::collect(|| {
         let t = Instant::now();
-        let report = run_scenario(scenario).expect("speed probe scenario failed");
+        let r = run_lifetime(exp).expect("speed probe run failed");
         let dt = t.elapsed().as_secs_f64();
-        last = Some(report);
+        last = Some(r);
         dt
     });
-    (timings, last.expect("at least one run").lifetime().clone())
+    (timings, last.expect("at least one run"))
 }
 
 fn main() {
@@ -269,14 +269,14 @@ fn main() {
         ]
     };
     for (name, scheme) in probe_schemes {
-        let scenario = Scenario::lifetime(
+        let exp = LifetimeExperiment::new(
             format!("probe/{name}"),
             scheme,
             WorkloadSpec::Bpa { writes_per_target: 2048 },
             data_lines,
             DeviceSpec { endurance, ..Default::default() },
         );
-        let (timings, r) = timed_scenario(&scenario);
+        let (timings, r) = timed_lifetime(&exp);
         let dt = timings.median();
         let (mw_per_sec, mw_per_sec_min, mw_per_sec_max) = timings.mwps(r.demand_writes);
         println!(
@@ -295,8 +295,9 @@ fn main() {
         });
 
         if with_telemetry {
-            let instrumented = scenario.with_telemetry(TelemetrySpec::with_stride(stride));
-            let (timings, r) = timed_scenario(&instrumented);
+            let instrumented =
+                LifetimeExperiment { telemetry: Some(TelemetrySpec::with_stride(stride)), ..exp };
+            let (timings, r) = timed_lifetime(&instrumented);
             let dt = timings.median();
             let (telemetry_mw_per_sec, ..) = timings.mwps(r.demand_writes);
             let overhead_pct = (mw_per_sec / telemetry_mw_per_sec - 1.0) * 100.0;

@@ -18,7 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 use sawl_simctl::{
-    run_all, run_scenario, DeviceSpec, LatencyReport, Scenario, SchemeSpec, TimingSpec,
+    run_all, run_lifetime, DeviceSpec, LatencyReport, LifetimeExperiment, SchemeSpec, TimingSpec,
     WorkloadSpec,
 };
 use sawl_telemetry::LatencyHistogram;
@@ -106,31 +106,30 @@ pub fn run_sweep(
     for (sname, scheme) in schemes {
         for (wname, workload) in workloads {
             for k in 0..cfg.seeds {
-                grid.push(
-                    Scenario::lifetime(
+                grid.push(LifetimeExperiment {
+                    max_demand_writes: per_shard,
+                    timing: Some(timing),
+                    ..LifetimeExperiment::new(
                         format!("fig-latency/{sname}/{wname}/s{k}"),
                         scheme.clone(),
                         workload.clone(),
                         cfg.data_lines,
                         DeviceSpec { endurance: cfg.endurance, ..Default::default() },
                     )
-                    .with_write_cap(per_shard)
-                    .with_timing(timing),
-                );
+                });
             }
         }
     }
-    let reports = run_all(&grid).expect("latency sweep scenario failed");
+    let results = run_all(&grid, run_lifetime).expect("latency sweep failed");
 
     let mut rows = Vec::new();
-    let mut it = reports.iter();
+    let mut it = results.iter();
     for (sname, _) in schemes {
         for (wname, _) in workloads {
             let shards: Vec<&LatencyReport> = (0..cfg.seeds)
                 .map(|_| {
                     it.next()
-                        .expect("report grid shorter than scenario grid")
-                        .lifetime()
+                        .expect("result grid shorter than experiment grid")
                         .latency
                         .as_ref()
                         .expect("timed run must report latency")
@@ -229,19 +228,21 @@ pub const MIN_FAST_RUN_SECS: f64 = 0.1;
 /// `BENCH_latency.json`.
 pub fn timed_probe(cfg: &SweepConfig) -> TimedProbe {
     let run = |scalar_serve: bool, cap: u64| -> (u64, f64) {
-        let scenario = Scenario::lifetime(
-            "fig-latency/probe/bpa",
-            SchemeSpec::Baseline,
-            WorkloadSpec::Bpa { writes_per_target: 2048 },
-            cfg.data_lines,
-            DeviceSpec { endurance: cfg.endurance, ..Default::default() },
-        )
-        .with_write_cap(cap)
-        .with_timing(TimingSpec { scalar_serve, ..TimingSpec::default() });
+        let exp = LifetimeExperiment {
+            max_demand_writes: cap,
+            timing: Some(TimingSpec { scalar_serve, ..TimingSpec::default() }),
+            ..LifetimeExperiment::new(
+                "fig-latency/probe/bpa",
+                SchemeSpec::Baseline,
+                WorkloadSpec::Bpa { writes_per_target: 2048 },
+                cfg.data_lines,
+                DeviceSpec { endurance: cfg.endurance, ..Default::default() },
+            )
+        };
         let start = std::time::Instant::now();
-        let report = run_scenario(&scenario).expect("timed probe failed");
+        let r = run_lifetime(&exp).expect("timed probe failed");
         let secs = start.elapsed().as_secs_f64();
-        (report.lifetime().demand_writes, secs)
+        (r.demand_writes, secs)
     };
     let pass = |scalar_serve: bool, cap: u64| -> (u64, f64) {
         let runs: Vec<(u64, f64)> = (0..PROBE_RUNS).map(|_| run(scalar_serve, cap)).collect();

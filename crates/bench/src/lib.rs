@@ -6,9 +6,10 @@
 //! times the BPA lifetime probe per scheme into `BENCH_speed.json`.
 //!
 //! The binaries do not drive wear levelers themselves: each one builds a
-//! grid of [`sawl_simctl::Scenario`]s, runs it through
-//! [`sawl_simctl::run_all`] (which shards across cores), and renders the
-//! reports through [`Figure`]. This module holds the shared
+//! grid of one experiment kind (`LifetimeExperiment`, `TraceExperiment` or
+//! `PerfExperiment`), runs it through [`sawl_simctl::run_all`] with the
+//! matching `run_*` function (which shards across cores), and renders the
+//! results through [`Figure`]. This module holds the shared
 //! scaled-geometry constants (DESIGN.md §4) and the output helpers.
 
 pub mod latency;
@@ -91,18 +92,18 @@ impl Figure {
 
     /// Print the aligned table and persist it as `results/<stem>.csv`.
     pub fn emit(self) {
-        println!("{}", self.table.to_aligned_string());
-        let path = results_dir().join(format!("{}.csv", self.stem));
-        match self.table.write_csv(&path) {
-            Ok(()) => println!("[saved {}]", path.display()),
-            Err(e) => eprintln!("[could not save {}: {e}]", path.display()),
-        }
+        emit(&self.table, &self.stem);
     }
 }
 
 /// Print the aligned table and persist it as `results/<stem>.csv`.
 pub fn emit(table: &Table, stem: &str) {
     println!("{}", table.to_aligned_string());
+    save_csv(table, stem);
+}
+
+/// Persist a table as `results/<stem>.csv` and say where it went.
+fn save_csv(table: &Table, stem: &str) {
     let path = results_dir().join(format!("{stem}.csv"));
     match table.write_csv(&path) {
         Ok(()) => println!("[saved {}]", path.display()),
@@ -128,11 +129,7 @@ pub fn save_history_csv(history: &History, stem: &str) {
             format!("{:.2}", s.cached_region_size),
         ]);
     }
-    let path = results_dir().join(format!("{stem}.csv"));
-    match t.write_csv(&path) {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => eprintln!("[could not save {}: {e}]", path.display()),
-    }
+    save_csv(&t, stem);
 }
 
 /// Write a telemetry series as the same CSV trajectory
@@ -151,11 +148,7 @@ pub fn save_series_csv(series: &Series, stem: &str) {
             format!("{:.2}", p.gauge(Channel::RegionSizeCached).unwrap_or(0.0)),
         ]);
     }
-    let path = results_dir().join(format!("{stem}.csv"));
-    match t.write_csv(&path) {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => eprintln!("[could not save {}: {e}]", path.display()),
-    }
+    save_csv(&t, stem);
 }
 
 /// Format the number of regions for a (lines, region_lines) pair the way

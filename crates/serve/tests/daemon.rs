@@ -452,6 +452,28 @@ fn degenerate_scheme_specs_get_typed_errors_and_the_daemon_keeps_serving() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn degenerate_workload_specs_get_typed_errors_and_the_daemon_keeps_serving() {
+    let dir = unique_dir("degenerate-workload");
+    let fx = Fixture::start(ServeConfig::new(&dir));
+
+    // A zero BPA dwell would trip the stream constructor's assert on the
+    // thread serving the connection.
+    let spec = LifetimeExperiment {
+        workload: WorkloadSpec::Bpa { writes_per_target: 0 },
+        ..small_exp("serve/degenerate-workload", 20_000)
+    };
+    let resp = call(fx.addr, &Request::Submit { tenant: "bad".into(), spec });
+    assert!(
+        matches!(&resp, Response::Error { message } if message.contains("writes_per_target")),
+        "{resp:?}"
+    );
+    assert!(matches!(call(fx.addr, &Request::Ping), Response::Pong));
+
+    fx.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Peak resident set of this process, from /proc (Linux only).
 #[cfg(target_os = "linux")]
 fn peak_rss_bytes() -> Option<u64> {

@@ -4,7 +4,7 @@
 //! examples — is at its core the same loop: pull requests from an address
 //! stream and route writes/reads through a wear leveler against a device.
 //! This module is that loop, written once. The figure binaries never
-//! hand-roll it; they describe *what* to run ([`crate::scenario`]) and the
+//! hand-roll it; they describe *what* to run (an experiment) and the
 //! driver does the running.
 //!
 //! The loop is **batched**: requests are drained from the stream
@@ -37,7 +37,7 @@ pub const BLOCK: usize = 4096;
 pub const READ_SPIN_LIMIT: u64 = 16 << 20;
 
 /// A defect in a run's specification or workload, surfaced as a value so
-/// spec-driven entry points (`sawl-sim`, JSON scenarios) can report it and
+/// spec-driven entry points (`sawl-sim`, the daemon) can report it and
 /// exit nonzero instead of panicking.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DriverError {
@@ -153,29 +153,7 @@ where
     pump_observed(wl, dev, stream, requests, |_, _, _, _| {});
 }
 
-/// [`pump`] with an optional telemetry recorder. Every request — read or
-/// write — advances the sampling clock by one, so a sample lands after
-/// the request with 1-based index `k * stride` regardless of batching.
-///
-/// `None` delegates to the plain [`pump`] loop, so a disabled recorder
-/// costs the hot path nothing at all — not even a per-request branch.
-pub fn pump_telemetry<W, S>(
-    wl: &mut W,
-    dev: &mut NvmDevice,
-    stream: &mut S,
-    requests: u64,
-    telemetry: Option<&mut TelemetryRun>,
-) where
-    W: WearLeveler + ?Sized,
-    S: AddressStream + ?Sized,
-{
-    match telemetry {
-        Some(t) => pump_observed(wl, dev, stream, requests, |_, _, w, d| t.note_served(1, w, d)),
-        None => pump(wl, dev, stream, requests),
-    }
-}
-
-/// The request loop behind [`pump`] and [`pump_telemetry`], invoking
+/// The request loop behind [`pump`], invoking
 /// `observe` after every request with the request, the physical address
 /// it resolved to, and the post-request engine and device state — the
 /// hook the timing models feed from.

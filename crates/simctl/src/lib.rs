@@ -6,21 +6,22 @@
 //!   devices; a `(SchemeSpec, WorkloadSpec, DeviceSpec)` triple plus a seed
 //!   fully determines a run, so every figure is reproducible from its
 //!   config JSON.
-//! * [`scenario`] — a [`Scenario`](scenario::Scenario) names one
-//!   experiment point (scheme × workload × device × probe);
-//!   [`run_all`](scenario::run_all) shards a grid of them across cores.
-//!   This is the layer every figure binary and example talks to.
-//! * [`driver`] — the one shared request pump the scenario probes drive
+//! * [`driver`] — the one shared request pump the probes below drive
 //!   requests through; no binary hand-rolls the request loop.
 //! * [`lifetime`] — the lifetime probe: run demand writes through a
 //!   wear leveler until the device exhausts its spare pool and report the
 //!   normalized lifetime (the paper's §4.3 metric).
+//! * [`trace`] — the trace probe: replay a fixed request count on a
+//!   wear-free device and report the CMT hit rate and SAWL's adaptation
+//!   history (§4.2, Figs. 12–14).
 //! * [`perf`] — the performance probe: replay a workload through a scheme
 //!   while feeding the closed-loop timing simulator, reporting CMT hit
 //!   rate, mean memory latency, and IPC degradation versus the
 //!   no-wear-leveling baseline (§4.4).
 //! * [`runner`] — a work-stealing parallel map used to sweep experiment
-//!   grids across cores; results keep their input order and every run is
+//!   grids across cores; [`run_all`](runner::run_all) runs a grid of one
+//!   experiment kind through it. This is the layer every figure binary and
+//!   example talks to. Results keep their input order and every run is
 //!   seeded deterministically ([`seed`]).
 //! * [`report`] — CSV and aligned-table rendering for the figure binaries.
 //! * [`sysconfig`] — the Table 1 system configuration, printable.
@@ -33,26 +34,23 @@ pub mod perf;
 pub mod report;
 pub mod resume;
 pub mod runner;
-pub mod scenario;
 pub mod seed;
 pub mod signal;
 pub mod spec;
 pub mod sysconfig;
 pub mod telemetry;
 pub mod timing;
+pub mod trace;
 
 pub use driver::{
-    feed_observation, pump, pump_observed, pump_telemetry, pump_writes, pump_writes_telemetry,
-    pump_writes_timed, DriverError, PumpStats, BLOCK,
+    feed_observation, pump, pump_observed, pump_writes, pump_writes_telemetry, pump_writes_timed,
+    DriverError, PumpStats, BLOCK,
 };
 pub use lifetime::{run_lifetime, LifetimeExperiment, LifetimeResult};
 pub use perf::{run_perf, PerfExperiment, PerfResult};
 pub use report::Table;
 pub use resume::{ResumableRun, DEFAULT_CHECKPOINT_INTERVAL};
-pub use runner::{parallel_map, set_thread_override};
-pub use scenario::{
-    run as run_scenario, run_all, AdaptationTrace, Probe, Report, Scenario, TraceReport,
-};
+pub use runner::{parallel_map, run_all, set_thread_override};
 pub use seed::stable_seed;
 pub use spec::{
     DeviceSpec, DiurnalPhase, SchemeInstance, SchemeSpec, TranslationKind, WorkloadSpec,
@@ -61,6 +59,7 @@ pub use sysconfig::SystemConfig;
 
 pub use telemetry::{device_sample, TelemetryRun};
 pub use timing::{EventBuilder, LatencyReport, TimingRun};
+pub use trace::{run_trace, AdaptationTrace, TraceExperiment, TraceReport};
 
 // Fault vocabulary, re-exported so spec authors don't need a direct
 // `sawl-nvm` dependency to describe a faulted run.

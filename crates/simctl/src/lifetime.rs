@@ -57,6 +57,30 @@ pub struct LifetimeExperiment {
     pub timing: Option<TimingSpec>,
 }
 
+impl LifetimeExperiment {
+    /// A run until device death: no write cap, fault plan, telemetry or
+    /// timing model. Set those by struct update.
+    pub fn new(
+        id: impl Into<String>,
+        scheme: SchemeSpec,
+        workload: WorkloadSpec,
+        data_lines: u64,
+        device: DeviceSpec,
+    ) -> Self {
+        Self {
+            id: id.into(),
+            scheme,
+            workload,
+            data_lines,
+            device,
+            max_demand_writes: 0,
+            fault: None,
+            telemetry: None,
+            timing: None,
+        }
+    }
+}
+
 /// Outcome of a lifetime run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LifetimeResult {

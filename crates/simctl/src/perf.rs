@@ -10,7 +10,7 @@
 //!   observed hit/miss for tiered schemes;
 //! * wear-leveling writes are charged to banks by diffing the device's
 //!   overhead-write counter around each request, attributed to exchange
-//!   vs. merge/split via [`WearLeveler::op_counts`].
+//!   vs. merge/split via [`op_counts`](sawl_algos::WearLeveler::op_counts).
 //!
 //! The IPC baseline (no wear leveling, no translation) replays the *same*
 //! seeded workload, so the degradation isolates the scheme's cost exactly.
@@ -20,13 +20,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use sawl_algos::WearLeveler;
 use sawl_timing::{ipc_degradation, CpuModel, IpcEstimate, IpcModel, MemEvent};
 use sawl_trace::SpecBenchmark;
 
 use crate::driver::{pump, pump_observed, DriverError};
-use crate::seed::stable_seed;
-use crate::spec::{DeviceSpec, SchemeSpec, WorkloadSpec};
+use crate::spec::{DeviceSpec, RunParts, SchemeSpec, WorkloadSpec};
 use crate::timing::{EventBuilder, LatencyReport};
 
 /// A performance run specification.
@@ -82,21 +80,17 @@ pub struct PerfResult {
 
 /// Run one performance experiment.
 pub fn run_perf(exp: &PerfExperiment) -> Result<PerfResult, DriverError> {
-    let seed = stable_seed(&exp.id);
-    let cpu = CpuModel::for_benchmark(exp.benchmark);
-
-    // Scheme pass, monomorphized over the concrete enum instance.
-    let mut wl = exp.scheme.try_instantiate(exp.data_lines, seed)?;
-    let phys = exp.scheme.physical_lines(exp.data_lines);
-    let mut dev = exp.device.try_build(phys, seed)?;
     let workload = WorkloadSpec::Spec(exp.benchmark);
-    let mut stream = workload.build(wl.logical_lines(), seed);
+    // Scheme pass, monomorphized over the concrete enum instance.
+    let RunParts { seed, mut wl, mut dev, mut stream, .. } =
+        RunParts::build(&exp.id, &exp.scheme, &workload, exp.data_lines, &exp.device, None, None)?;
+    let cpu = CpuModel::for_benchmark(exp.benchmark);
     let mut ipc_model = IpcModel::new(cpu);
     let banks = ipc_model.sim().config().banks;
     let mut builder = EventBuilder::new(exp.scheme.translation_kind(), banks);
     // Baseline pass shares the identical request sequence: regenerate the
     // stream with the same seed and replay it with zero-cost translation.
-    let mut base_stream = workload.build(exp.data_lines, seed);
+    let mut base_stream = workload.try_build(exp.data_lines, seed)?;
     let mut base_model = IpcModel::new(cpu);
 
     pump(&mut wl, &mut dev, &mut *stream, exp.warmup_requests);

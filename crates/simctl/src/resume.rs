@@ -36,15 +36,13 @@
 
 use std::path::Path;
 
-use sawl_algos::WearLeveler;
 use sawl_ckpt::{CkptError, Reader, Writer};
 use sawl_nvm::NvmDevice;
 use sawl_trace::{AddressStream, CursorKind, MemReq};
 
 use crate::driver::{DriverError, LifetimeServe, PumpStats, BLOCK};
 use crate::lifetime::{build_result, LifetimeExperiment, LifetimeResult};
-use crate::seed::stable_seed;
-use crate::spec::SchemeInstance;
+use crate::spec::{RunParts, SchemeInstance};
 use crate::telemetry::TelemetryRun;
 use crate::timing::TimingRun;
 
@@ -111,28 +109,15 @@ impl ResumableRun {
     /// Build a fresh run from `exp`, timed or not: the one place a
     /// lifetime run is set up.
     pub(crate) fn build(exp: &LifetimeExperiment) -> Result<Self, DriverError> {
-        let seed = stable_seed(&exp.id);
-        // Concrete enum instance: the serve loop monomorphizes against it,
-        // so the per-write scheme call is static-dispatched. Built first:
-        // it validates the spec that `physical_lines` assumes valid.
-        let mut wl = exp.scheme.try_instantiate(exp.data_lines, seed)?;
-        let phys = exp.scheme.physical_lines(exp.data_lines);
-        let mut dev = exp.device.try_build(phys, seed)?;
-        if let Some(plan) = &exp.fault {
-            dev.install_fault_plan(plan)?;
-        }
-        let telemetry = match &exp.telemetry {
-            Some(spec) if spec.stride == 0 => {
-                return Err(DriverError::Spec("telemetry stride must be >= 1".into()));
-            }
-            Some(spec) => {
-                let run = TelemetryRun::new(&exp.id, spec);
-                run.attach(&mut wl, &mut dev);
-                Some(run)
-            }
-            None => None,
-        };
-        let stream = exp.workload.try_build(wl.logical_lines(), seed)?;
+        let RunParts { wl, dev, stream, telemetry, .. } = RunParts::build(
+            &exp.id,
+            &exp.scheme,
+            &exp.workload,
+            exp.data_lines,
+            &exp.device,
+            exp.fault.as_ref(),
+            exp.telemetry.as_ref(),
+        )?;
         let cap = if exp.max_demand_writes == 0 {
             4 * dev.config().ideal_lifetime_writes()
         } else {

@@ -1,7 +1,8 @@
 //! Parallel experiment sweeps.
 //!
 //! Figure sweeps are dozens of independent, CPU-bound simulations; this
-//! module fans them out over the machine's cores. Each worker pulls the
+//! module fans them out over the machine's cores ([`run_all`] runs a grid
+//! of one experiment kind through [`parallel_map`]). Each worker pulls the
 //! next item off a shared atomic cursor — work-stealing degenerate to a
 //! single deque — so long-running configurations don't leave cores idle
 //! behind a static partition, and streams its `(index, result)` pairs back
@@ -110,9 +111,24 @@ where
     results.into_iter().map(|r| r.expect("worker skipped an item")).collect()
 }
 
+/// Run a grid of experiments of one kind (`run_lifetime`, `run_trace` or
+/// `run_perf`) across cores; results keep the grid order. The first
+/// defective experiment's error is returned.
+pub fn run_all<T, R, E, F>(grid: &[T], run: F) -> Result<Vec<R>, E>
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    F: Fn(&T) -> Result<R, E> + Sync,
+{
+    parallel_map(grid, run).into_iter().collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifetime::{run_lifetime, LifetimeExperiment};
+    use crate::spec::{DeviceSpec, SchemeSpec, WorkloadSpec};
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -213,6 +229,26 @@ mod tests {
         assert_eq!(parse_thread_override(Some("lots")), None);
         assert_eq!(parse_thread_override(Some("")), None);
         assert_eq!(parse_thread_override(Some("-2")), None);
+    }
+
+    #[test]
+    fn run_all_keeps_grid_order() {
+        let grid: Vec<LifetimeExperiment> = (0..6)
+            .map(|i| {
+                LifetimeExperiment::new(
+                    format!("scn/grid/{i}"),
+                    SchemeSpec::PcmS { region_lines: 8, period: 8 + i },
+                    WorkloadSpec::Bpa { writes_per_target: 400 },
+                    1 << 10,
+                    DeviceSpec { endurance: 400, ..Default::default() },
+                )
+            })
+            .collect();
+        let results = run_all(&grid, run_lifetime).unwrap();
+        assert_eq!(results.len(), 6);
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!(r.id, format!("scn/grid/{i}"));
+        }
     }
 
     #[test]

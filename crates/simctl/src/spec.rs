@@ -12,7 +12,8 @@ use sawl_algos::{
     Ideal, Mwsr, NoWl, PcmS, SecurityRefresh, SegmentSwap, StartGap, Tlsr, WearLeveler,
 };
 use sawl_core::{Sawl, SawlConfig};
-use sawl_nvm::{EnduranceModel, NvmConfig, NvmDevice};
+use sawl_nvm::{EnduranceModel, FaultPlan, NvmConfig, NvmDevice};
+use sawl_telemetry::TelemetrySpec;
 use sawl_tiered::{Nwl, NwlConfig};
 use sawl_trace::{
     AddressStream, Bpa, GcFeedback, Interleave, Phased, Raa, SpecBenchmark, TraceFileStream,
@@ -20,7 +21,8 @@ use sawl_trace::{
 };
 
 use crate::driver::DriverError;
-use crate::seed::derive;
+use crate::seed::{derive, stable_seed};
+use crate::telemetry::TelemetryRun;
 
 /// How a scheme translates addresses — determines the per-request
 /// translation latency in the timing model.
@@ -325,7 +327,7 @@ impl SchemeSpec {
 /// same constructors and derived seeds as the boxed path, so results are
 /// bit-identical either way.
 #[allow(missing_docs)]
-// One instance exists per running scenario, never in bulk collections, so
+// One instance exists per running experiment, never in bulk collections, so
 // the size spread between variants (SAWL's engine vs the tiny algebraic
 // schemes) costs nothing; boxing the large variants would reintroduce the
 // indirection this enum exists to remove.
@@ -633,6 +635,9 @@ impl WorkloadSpec {
         Ok(match self {
             Self::Raa => Box::new(Raa::new(0, space)),
             Self::Bpa { writes_per_target } => {
+                if *writes_per_target == 0 {
+                    return Err(DriverError::Spec("bpa writes_per_target must be non-zero".into()));
+                }
                 Box::new(Bpa::new(space, *writes_per_target, derive(seed, "bpa")))
             }
             Self::Uniform { write_ratio } => {
@@ -641,11 +646,21 @@ impl WorkloadSpec {
             }
             Self::Zipf { exponent, write_ratio } => {
                 Self::check_ratio(*write_ratio)?;
+                Self::check_exponent(*exponent)?;
                 Box::new(ZipfStream::new(space, *exponent, *write_ratio, derive(seed, "zipf")))
             }
-            Self::Spec(b) => Box::new(b.stream(space, derive(seed, b.name()))),
+            Self::Spec(b) => {
+                if !space.is_power_of_two() || space < 1 << 10 {
+                    return Err(DriverError::Spec(format!(
+                        "{} needs a power-of-two space of at least 1024 lines, got {space}",
+                        b.name()
+                    )));
+                }
+                Box::new(b.stream(space, derive(seed, b.name())))
+            }
             Self::Ycsb { hot_lines, exponent, write_ratio, rotate_every, drift } => {
                 Self::check_ratio(*write_ratio)?;
+                Self::check_exponent(*exponent)?;
                 if *hot_lines == 0 || *hot_lines > space {
                     return Err(DriverError::Spec(format!(
                         "ycsb hot window of {hot_lines} lines must fit the {space}-line space"
@@ -704,6 +719,7 @@ impl WorkloadSpec {
                 gc_burst,
             } => {
                 Self::check_ratio(*write_ratio)?;
+                Self::check_exponent(*exponent)?;
                 if !(0.0..=1.0).contains(base_threshold) {
                     return Err(DriverError::Spec(format!(
                         "gc base threshold {base_threshold} must be a ratio in [0, 1]"
@@ -748,6 +764,14 @@ impl WorkloadSpec {
             Err(DriverError::Spec(format!("write ratio {write_ratio} must be in [0, 1]")))
         }
     }
+
+    fn check_exponent(exponent: f64) -> Result<(), DriverError> {
+        if exponent.is_finite() && exponent > 0.0 {
+            Ok(())
+        } else {
+            Err(DriverError::Spec(format!("zipf exponent {exponent} must be finite and positive")))
+        }
+    }
 }
 
 /// Device parameters (geometry comes from the scheme).
@@ -790,6 +814,57 @@ impl DeviceSpec {
             .build()
             .map(NvmDevice::new)
             .map_err(|e| DriverError::Spec(format!("invalid device spec: {e}")))
+    }
+}
+
+/// A run's freshly built parts, before its first request.
+pub(crate) struct RunParts {
+    /// The run's seed, derived from its id.
+    pub seed: u64,
+    /// The scheme, as the concrete enum the serve loops monomorphize on.
+    pub wl: SchemeInstance,
+    /// The device, sized for the scheme, with the fault plan installed.
+    pub dev: NvmDevice,
+    /// The workload over the scheme's logical space.
+    pub stream: Box<dyn AddressStream + Send>,
+    /// The telemetry recorder, attached to `wl` and `dev`.
+    pub telemetry: Option<TelemetryRun>,
+}
+
+impl RunParts {
+    /// Set a run up: seed from `id`, then scheme, device, fault plan,
+    /// telemetry and stream. Every probe builds its run here, so every
+    /// spec defect surfaces as the same [`DriverError`].
+    pub(crate) fn build(
+        id: &str,
+        scheme: &SchemeSpec,
+        workload: &WorkloadSpec,
+        data_lines: u64,
+        device: &DeviceSpec,
+        fault: Option<&FaultPlan>,
+        telemetry: Option<&TelemetrySpec>,
+    ) -> Result<Self, DriverError> {
+        let seed = stable_seed(id);
+        // Built first: it validates the spec that `physical_lines`
+        // assumes valid.
+        let mut wl = scheme.try_instantiate(data_lines, seed)?;
+        let mut dev = device.try_build(scheme.physical_lines(data_lines), seed)?;
+        if let Some(plan) = fault {
+            dev.install_fault_plan(plan)?;
+        }
+        let telemetry = match telemetry {
+            Some(spec) if spec.stride == 0 => {
+                return Err(DriverError::Spec("telemetry stride must be >= 1".into()));
+            }
+            Some(spec) => {
+                let run = TelemetryRun::new(id, spec);
+                run.attach(&mut wl, &mut dev);
+                Some(run)
+            }
+            None => None,
+        };
+        let stream = workload.try_build(wl.logical_lines(), seed)?;
+        Ok(Self { seed, wl, dev, stream, telemetry })
     }
 }
 
@@ -1051,6 +1126,30 @@ mod tests {
                 "burst",
             ),
             (WorkloadSpec::TraceFile { path: "/nonexistent/missing.trc".into() }, "trace file"),
+            (WorkloadSpec::Bpa { writes_per_target: 0 }, "writes_per_target"),
+            (WorkloadSpec::Zipf { exponent: 0.0, write_ratio: 0.8 }, "exponent"),
+            (WorkloadSpec::Zipf { exponent: f64::NAN, write_ratio: 0.8 }, "exponent"),
+            (
+                WorkloadSpec::Ycsb {
+                    hot_lines: 64,
+                    exponent: 0.0,
+                    write_ratio: 0.8,
+                    rotate_every: 1_024,
+                    drift: 8,
+                },
+                "exponent",
+            ),
+            (
+                WorkloadSpec::GcFeedback {
+                    exponent: f64::INFINITY,
+                    write_ratio: 0.8,
+                    base_threshold: 0.3,
+                    waf_gain: 0.05,
+                    cov_gain: 0.1,
+                    gc_burst: 64,
+                },
+                "exponent",
+            ),
         ];
         for (w, needle) in cases {
             let err = match w.try_build(1 << 10, 1) {
@@ -1060,6 +1159,10 @@ mod tests {
             assert!(matches!(err, DriverError::Spec(_)), "{needle}: {err:?}");
             assert!(err.to_string().contains(needle), "{needle}: {err}");
         }
+        // SPEC-like models need a power-of-two space of at least 1024 lines.
+        let err = WorkloadSpec::Spec(SpecBenchmark::Mcf).try_build(1 << 9, 1).err().unwrap();
+        assert!(matches!(err, DriverError::Spec(_)), "{err:?}");
+        assert!(err.to_string().contains("at least 1024"), "{err}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Scenario-level bit-equivalence of the batched block pump.
+//! Experiment-level bit-equivalence of the batched block pump.
 //!
 //! The driver's block pump pre-generates requests in 4096-request batches
 //! and checks death/cap after every write; these tests pin down that the

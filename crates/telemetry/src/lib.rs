@@ -235,8 +235,8 @@ impl Channel {
     }
 }
 
-/// What to record and how often. Attach one to a `Scenario` or
-/// `LifetimeExperiment` to enable telemetry; absent means fully disabled.
+/// What to record and how often. Attach one to a `LifetimeExperiment` or
+/// `TraceExperiment` to enable telemetry; absent means fully disabled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySpec {
     /// Requests between samples (must be >= 1).

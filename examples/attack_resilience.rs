@@ -13,7 +13,9 @@
 //! ```
 
 use sawl::sawl::SawlConfig;
-use sawl::simctl::{run_all, DeviceSpec, Scenario, SchemeSpec, Table, WorkloadSpec};
+use sawl::simctl::{
+    run_all, run_lifetime, DeviceSpec, LifetimeExperiment, SchemeSpec, Table, WorkloadSpec,
+};
 
 fn main() {
     let data_lines: u64 = 1 << 14;
@@ -50,7 +52,7 @@ fn main() {
     let mut grid = Vec::new();
     for (sname, scheme) in &schemes {
         for (aname, attack) in &attacks {
-            grid.push(Scenario::lifetime(
+            grid.push(LifetimeExperiment::new(
                 format!("example/{sname}/{aname}"),
                 scheme.clone(),
                 attack.clone(),
@@ -59,15 +61,15 @@ fn main() {
             ));
         }
     }
-    let results = run_all(&grid).expect("scenario sweep failed");
+    let results = run_all(&grid, run_lifetime).expect("sweep failed");
 
     let mut table = Table::new(
         "Normalized lifetime under attack (% of ideal)",
         &["scheme", "RAA", "BPA", "BPA write overhead (%)"],
     );
     for (i, (sname, _)) in schemes.iter().enumerate() {
-        let raa = results[i * 2].lifetime();
-        let bpa = results[i * 2 + 1].lifetime();
+        let raa = &results[i * 2];
+        let bpa = &results[i * 2 + 1];
         table.row(vec![
             sname.to_string(),
             format!("{:.1}", raa.normalized_lifetime * 100.0),

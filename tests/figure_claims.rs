@@ -76,3 +76,81 @@ fn fig4_small_period_crossover_appears_for_pcms_at_the_finest_regions() {
         assert!(v[0] > v[1], "{stem} at 16K: period 8 {} <= period 16 {}", v[0], v[1]);
     }
 }
+
+/// Index of the largest value in `values` (the first on ties).
+fn argmax(values: impl IntoIterator<Item = f64>) -> usize {
+    let mut best = (0, f64::NEG_INFINITY);
+    for (i, v) in values.into_iter().enumerate() {
+        if v > best.1 {
+            best = (i, v);
+        }
+    }
+    best.0
+}
+
+#[test]
+fn fig3_every_period_peaks_at_an_interior_region_count_for_1e6_cells() {
+    // Paper Fig. 3: TLSR's lifetime rises then falls with the number of
+    // regions. With 1e6-class cells every period column turns inside the
+    // swept range.
+    let t = table("fig3_1e6");
+    assert_eq!(t.rows.len(), 9, "64 to 16K regions");
+    for (c, column) in t.columns.iter().enumerate() {
+        let peak = argmax(t.rows.iter().map(|(_, v)| v[c]));
+        assert!(
+            peak > 0 && peak < t.rows.len() - 1,
+            "fig3_1e6 {column}: peak at the edge ({} regions)",
+            t.rows[peak].0
+        );
+    }
+}
+
+#[test]
+fn fig3_best_cell_is_interior_for_1e5_cells() {
+    // With 1e5-class cells the best configuration still sits inside the
+    // sweep. The period 32 and 64 columns are flat or still rising at 16K
+    // regions; EXPERIMENTS.md reports that as a finding.
+    let t = table("fig3_1e5");
+    let cells = t.rows.iter().flat_map(|(_, v)| v.iter().copied());
+    let best_row = argmax(cells) / t.columns.len();
+    assert!(
+        best_row > 0 && best_row < t.rows.len() - 1,
+        "fig3_1e5: best cell at the edge ({} regions)",
+        t.rows[best_row].0
+    );
+}
+
+#[test]
+fn fig15_sawl_outlives_both_hybrids_at_every_period() {
+    // Paper Fig. 15: SAWL beats PCM-S and MWSR under BPA in both panels.
+    for stem in ["fig15_1e6", "fig15_1e5"] {
+        let t = table(stem);
+        assert_eq!(t.columns[..3], ["pcm-s", "mwsr", "sawl"], "{stem}");
+        for (period, v) in &t.rows {
+            assert!(
+                v[2] > v[0] && v[2] > v[1],
+                "{stem} period {period}: sawl {} vs pcm-s {} / mwsr {}",
+                v[2],
+                v[0],
+                v[1]
+            );
+        }
+    }
+}
+
+#[test]
+fn bpa_dwell_ablation_keeps_the_baseline_last() {
+    // Whatever the unpublished BPA dwell, the unleveled baseline lives
+    // shorter than PCM-S and SAWL.
+    let t = table("ablation_bpa_dwell");
+    assert_eq!(t.columns, ["baseline", "pcm-s", "sawl"]);
+    for (dwell, v) in &t.rows {
+        assert!(
+            v[0] < v[1] && v[0] < v[2],
+            "dwell {dwell}: baseline {} vs pcm-s {} / sawl {}",
+            v[0],
+            v[1],
+            v[2]
+        );
+    }
+}
