@@ -83,7 +83,11 @@ impl AddressStream for Ycsb {
         }
         self.until_rotate -= 1;
         let rank = self.zipf.sample(&mut self.rng);
-        let la = (self.start + rank) % self.space;
+        // `start < space` and `rank < hot_lines <= space`: one wrap at most.
+        let mut la = self.start + rank;
+        if la >= self.space {
+            la -= self.space;
+        }
         let write = self.rng.random::<f64>() < self.write_ratio;
         MemReq { la, write }
     }
