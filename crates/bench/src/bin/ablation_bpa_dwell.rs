@@ -2,10 +2,13 @@
 //! (writes per attacked address), which the paper does not publish
 //! (DESIGN.md §5/§9).
 //!
-//! The harness pins the dwell to one endurance budget; this sweep shows
-//! the scheme *ordering* (SAWL > PCM-S > baseline) is robust across two
-//! orders of magnitude of dwell, so the figures do not hinge on the
-//! choice.
+//! The harness pins the dwell to one endurance budget; this sweep runs
+//! two orders of magnitude of dwell around it. The committed CSV shows
+//! what holds across them: both leveled schemes keep 59–65% of the ideal
+//! lifetime at every dwell, while the baseline falls from 54% at Wmax/16
+//! to 1.6% from Wmax on, so the baseline is last at every dwell. SAWL
+//! does not beat PCM-S here: PCM-S, given 4096 regions of 16 lines
+//! (period 16), stays 0.6–4.1 points ahead in every row.
 
 use sawl_bench::{device, paper_note, Figure, ENDURANCE_1E6_CLASS, LIFETIME_LINES};
 use sawl_simctl::report::pct;
@@ -56,7 +59,8 @@ fn main() {
     }
     fig.emit();
     paper_note(
-        "Not in the paper — a robustness check of our dwell choice. The ordering \
-         baseline < pcm-s < sawl should hold at every dwell.",
+        "Not in the paper — a robustness check of our dwell choice. The baseline \
+         should be last at every dwell; pcm-s (4096 regions of 16 lines) runs \
+         0.6-4.1 points ahead of sawl in every row.",
     );
 }

@@ -363,13 +363,15 @@ impl TieredMapping {
                 "owner map wrong at physical granule {phys}"
             );
         }
-        // Line-level translation is injective.
-        let data_lines = self.layout.data_lines;
-        let mut seen = vec![false; data_lines as usize];
-        for la in 0..data_lines {
-            let pa = self.imt.translate(la) as usize;
-            assert!(!seen[pa], "collision at pa {pa}");
-            seen[pa] = true;
+        // Line-level translation is injective: every physical line is the
+        // translation of a logical line (found through the owner map), and
+        // onto a set of the same size means one-to-one. Needs no buffer, so
+        // the debug check after every event does not allocate.
+        for pa in 0..self.layout.data_lines {
+            let l = u64::from(self.owner[(pa >> self.p_log2) as usize]);
+            let e = self.imt.entry(l);
+            let la = (self.base_of(l, e) << self.p_log2) | ((pa & (e.q() - 1)) ^ e.key());
+            assert_eq!(self.imt.translate(la), pa, "no logical line translates to pa {pa}");
         }
         region_count
     }

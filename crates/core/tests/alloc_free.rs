@@ -9,9 +9,9 @@
 //! The bound allows amortized growth of the adaptation history, not one
 //! allocation per exchange.
 //!
-//! Debug builds run an O(data lines) invariant check after structural
-//! operations, and that check allocates, so the test runs in release only
-//! (`cargo test --release -p sawl-core --test alloc_free`).
+//! Debug builds also run SAWL's O(data lines) invariant check after every
+//! structural operation. It allocates nothing either, so the test runs
+//! there too, over 10^4 exchanges to keep its time in bounds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -70,8 +70,10 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations allowed across the whole measured span (amortized growth).
 const MAX_ALLOCS: u64 = 64;
-/// Exchanges the measured span must cover.
-const MIN_EXCHANGES: u64 = 100_000;
+/// Exchanges the measured span must cover. Debug builds run SAWL's
+/// O(data lines) invariant check after every exchange, so they measure a
+/// tenth of the span; one allocation per exchange still breaks the bound.
+const MIN_EXCHANGES: u64 = if cfg!(debug_assertions) { 10_000 } else { 100_000 };
 /// The perfbench BPA dwell.
 const DWELL: u64 = 2048;
 
@@ -121,7 +123,6 @@ fn allocations_over_exchanges<W: WearLeveler>(w: &mut W, dev: &mut NvmDevice) ->
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "debug invariant checks allocate; run with --release")]
 fn sawl_exchanges_do_not_allocate() {
     let mut sawl = Sawl::new(SawlConfig::default());
     let mut dev = device(sawl.required_physical_lines());
@@ -134,7 +135,6 @@ fn sawl_exchanges_do_not_allocate() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "debug invariant checks allocate; run with --release")]
 fn nwl_exchanges_do_not_allocate() {
     let mut nwl = Nwl::new(NwlConfig::default());
     let mut dev = device(nwl.required_physical_lines());
