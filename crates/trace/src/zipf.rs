@@ -67,6 +67,8 @@ impl Zipf {
         let h_n = h(n as f64 + 0.5, s);
         let t = 2.0 - h_inv(h(2.5, s) - (2f64).powf(-s), s);
         let mut z = Self { n, s, h_x1, h_n, t, guide: Box::default(), buckets: 0.0 };
+        // Near s = 1 `h_inv` is a cheap `exp` and a lookup does not pay;
+        // without a positive `t` no draw is accepted early.
         if (1.0 - s).abs() >= 1e-9 && t > 0.0 {
             let m = (n.min(MAX_BUCKETS) * BUCKETS_PER_RANK).next_power_of_two().min(MAX_BUCKETS);
             z.buckets = m as f64;
